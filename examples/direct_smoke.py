@@ -6,17 +6,17 @@ The scenario CI runs (job ``direct-path-smoke``):
    journaling; clients negotiate ``service.hello`` and learn the
    server speaks ``direct_routing``;
 2. four sessions (two per shard, chosen via the consistent-hash ring)
-   drive a command burst — every session command must travel the
-   owning shard's own data socket, not the supervisor relay;
-3. SIGKILL one shard mid-burst: its sessions fail over through the
-   supervisor relay (retrying clients, no lost acknowledgements)
-   while the other shard's sessions stay direct and undisturbed;
-4. after the supervisor restarts the shard, the displaced clients
-   re-negotiate routes (``service.route`` now leases a bumped
-   generation) and their traffic returns to the direct path;
-5. shut down gracefully, then recover every session's WAL offline and
-   strict-replay it: every acknowledged command — relayed or direct —
-   is durable, in order, nothing torn.
+   drive a command burst — every session command travels the owning
+   shard's own data socket, the only path there is;
+3. SIGKILL one shard mid-burst: its sessions' retrying clients ride
+   out the restart (``service.route`` answers ``service.shard_failed``
+   while the shard is down, then leases a bumped generation), with no
+   lost acknowledgements, while the other shard's sessions stay
+   undisturbed — and every acknowledged command, on both shards, is
+   still a direct one;
+4. shut down gracefully, then recover every session's WAL offline and
+   strict-replay it: every acknowledged command is durable, in order,
+   nothing torn.
 
 Run directly: ``python examples/direct_smoke.py``.  Exit code 0 on
 success.
@@ -84,7 +84,8 @@ def start_server(journal_dir: str) -> tuple[subprocess.Popen, str, int]:
 
 def burst(clients: dict[str, ServiceClient], count: int, acked: dict) -> None:
     """Interleave ``count`` replay-idempotent edits across every
-    session, round-robin, so a kill always lands mid-burst."""
+    session, round-robin, so a kill always lands mid-burst; every
+    acknowledged command must have travelled the data plane."""
     for i in range(count):
         for name, client in clients.items():
             if i % 2:
@@ -92,6 +93,10 @@ def burst(clients: dict[str, ServiceClient], count: int, acked: dict) -> None:
             else:
                 client.call("rotate", name="g0")
             acked[name] += 1
+    for name, client in clients.items():
+        assert client.direct_calls == acked[name], (
+            name, client.direct_calls, acked[name]
+        )
 
 
 def wait_for_restart(control, index: int, deadline: float = 30.0) -> None:
@@ -143,14 +148,10 @@ def main() -> int:
 
         # Phase 1: everything travels the data plane.
         burst(clients, BURST, acked)
-        for name, client in clients.items():
-            assert client.direct_calls == acked[name], (
-                name, client.direct_calls, acked[name]
-            )
         print(f"ok: {sum(acked.values())} commands all direct-to-shard")
 
-        # Phase 2: kill the victim shard mid-burst.  Its sessions fail
-        # over through the supervisor relay; the bystanders never
+        # Phase 2: kill the victim shard mid-burst.  Its sessions'
+        # clients retry through the restart; the bystanders never
         # notice.
         stats = control.call("service.stats")
         (victim_pid,) = [
@@ -164,30 +165,12 @@ def main() -> int:
             sum(clients[n].retries for n in bystanders)
             == bystander_retries
         )
-        relayed = sum(clients[n].relayed_calls for n in victims)
-        assert relayed >= 1, "victims never fell back to the relay"
-        print(f"ok: kill absorbed; {relayed} command(s) relayed through "
-              "the supervisor while the shard was down")
-
-        # Phase 3: after the restart, routes re-negotiate (bumped
-        # lease generation) and the victims return to the direct path.
         wait_for_restart(control, VICTIM_SHARD)
         route = control.call("service.route", session=victims[0])
         assert route.direct and route.generation >= 1, route
-        direct_before = {n: clients[n].direct_calls for n in victims}
-        deadline = time.monotonic() + 15.0
-        while time.monotonic() < deadline:
-            burst(clients, 2, acked)
-            if all(
-                clients[n].direct_calls > direct_before[n] for n in victims
-            ):
-                break
-            time.sleep(0.25)
-        assert all(
-            clients[n].direct_calls > direct_before[n] for n in victims
-        ), "victims never re-redirected to the restarted shard"
         burst(clients, BURST, acked)
-        print("ok: victims re-redirected to the restarted shard "
+        print("ok: kill absorbed by client retries; every acknowledged "
+              "command direct-to-shard, before and after the restart "
               f"(lease generation {route.generation})")
 
         # The merged direct-request counter is a lower bound only: the
@@ -212,8 +195,8 @@ def main() -> int:
             server.kill()
             server.wait()
 
-    # Offline recovery: every acknowledged command — whichever plane
-    # carried it — is in the WAL and strict-replays clean.
+    # Offline recovery: every acknowledged command is in the WAL and
+    # strict-replays clean.
     for name in names:
         shard = ring.shard_for(name)
         path = Path(tmp) / f"shard-{shard}" / f"{name}.wal"

@@ -147,7 +147,7 @@ class DetachedSpan:
 
     The request path of the service opens spans that end on a
     different thread (shard worker) or interleave with other requests
-    on one event loop (supervisor relay) — both would corrupt the
+    on one event loop (a shard's request spans) — both would corrupt the
     parent stack a :class:`Span` relies on.  A detached span allocates
     its id eagerly (so children can reference it via :attr:`ref`
     before it closes), takes no implicit parent, and simply records

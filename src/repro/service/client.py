@@ -14,20 +14,23 @@ raise :class:`repro.errors.ReproError` carrying the wire error code::
 
 **Two wires, one client.**  The *control wire* is the socket given to
 the constructor — the supervisor (or single-process server).  On
-connect the client sends ``service.hello`` once; when the server
-advertises the ``direct_routing`` capability, session commands take
-the *data plane*: the client asks ``service.route`` for the owning
-shard's address (a lease with a generation number and a TTL), dials
-the shard directly, and stamps the generation on every request.  The
-``service.*`` control plane always stays on the control wire.
+connect the client sends ``service.hello`` once.  A single-process
+server advertises no ``direct_routing``: its socket is the only path,
+and every command travels it.  A supervisor does, and there session
+commands have exactly one path, the *data plane*: the client asks
+``service.route`` for the owning shard's address (a lease with a
+generation number and a TTL), dials the shard directly, and stamps the
+generation on every request.  The ``service.*`` control plane always
+stays on the control wire.
 
-The direct path degrades, never breaks:
+The route lookup is one round trip inside the command's own retry
+loop, so every failure along the path is just a failed attempt:
 
-* a route answering ``direct=False`` (shard down, single process)
-  means *relay for now* — the client sends on the control wire and
-  re-asks after the lease interval;
-* a dead or unreachable shard socket drops the client back to the
-  relay path immediately (the supervisor still forwards);
+* a shard that is down answers the route with ``service.shard_failed``
+  (or ``service.overloaded`` while its restart circuit is open),
+  paced by ``retry_after_ms``;
+* a dead or unreachable shard socket forgets the lease, so the next
+  attempt re-routes;
 * ``service.moved`` — stale generation after a shard restart, or a
   ring move — refreshes the route: when the error's ``detail`` carries
   the new address and generation the client adopts it in place,
@@ -43,7 +46,9 @@ backoff with jitter, see :class:`RetryPolicy`):
   pacing hint is honored when present;
 * ``service.shard_failed``, ``service.moved`` and a dropped connection
   are retried (after re-routing / reconnecting) only for *replayable*
-  commands, read-only queries and the ``service.*`` control plane.  A
+  commands, read-only queries and the ``service.*`` control plane (a
+  shard socket that refuses the dial never saw the request, so that
+  is retried for any command).  A
   replayable command that reached the WAL before the crash is
   re-applied by replay, so the retry converges on the same state; a
   non-replayable command (plots, file writes) is not known to be
@@ -148,17 +153,12 @@ class ServiceClient:
         retry: RetryPolicy | None = None,
         rng: random.Random | None = None,
         sleep=None,
-        direct: bool | None = None,
     ) -> None:
         self.host = host
         self.port = port
         self.session = session
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
-        #: ``False`` pins every request to the control wire; ``True``
-        #: or ``None`` (the default) use the direct data plane whenever
-        #: the server's ``service.hello`` advertises ``direct_routing``.
-        self.direct = direct
         #: The jitter source.  Injectable two ways: pass ``rng`` to
         #: substitute the whole generator (a stub returning 0.0 makes
         #: delays exact), or set ``RetryPolicy.seed`` to keep real
@@ -170,16 +170,12 @@ class ServiceClient:
         self._sock: socket.socket | None = None
         self._file = None
         #: The direct wire to the session's shard (lazy: ``None`` until
-        #: the first routed request, and again after every fallback).
+        #: the first routed request, and again after its shard drops).
         self._direct_sock: socket.socket | None = None
         self._direct_file = None
         self._direct_target: tuple[str, int] | None = None
         self._route: control.RouteResult | None = None
         self._route_expires = 0.0
-        #: Monotonic deadline before which the client relays without
-        #: re-asking for a route (set when the server declines a direct
-        #: path or the shard socket refuses the dial).
-        self._relay_until = 0.0
         self._next_id = 0
         #: What the server's ``service.hello`` advertised — empty for
         #: pre-handshake servers, which reject the command.
@@ -191,11 +187,9 @@ class ServiceClient:
         #: The delay handed to each retry sleep, in order (tests assert
         #: the schedule; bounded by attempts so it cannot grow unruly).
         self.retry_delays: list[float] = []
-        #: Requests answered over the shard's own data socket vs. the
-        #: control wire, and how many ``service.route`` round trips the
-        #: lease cache needed.
+        #: Requests answered over a shard's own data socket, and how
+        #: many ``service.route`` round trips the lease cache needed.
         self.direct_calls = 0
-        self.relayed_calls = 0
         self.route_refreshes = 0
         #: The last response's stage decomposition (integer µs), with
         #: the client-measured round trip added under ``"client"`` —
@@ -252,53 +246,29 @@ class ServiceClient:
 
     # -- routing -------------------------------------------------------------
 
-    def _direct_enabled(self) -> bool:
-        return self.direct is not False and "direct_routing" in self.capabilities
-
-    def _route_for(self, now: float) -> control.RouteResult | None:
-        """The cached route lease, refreshed through the supervisor
-        when missing or expired; ``None`` means *relay for now*."""
-        if self._route is not None and now < self._route_expires:
-            return self._route
-        self._route = None
-        answer = self.request(
-            "service.route", control.RouteRequest(session=self.session)
+    def _routed(self, method: str) -> bool:
+        """Does ``method`` travel a shard's data socket?"""
+        return (
+            self.session is not None
+            and "direct_routing" in self.capabilities
+            and not method.startswith("service.")
         )
-        self.route_refreshes += 1
-        lease = max(answer.lease_ms, 0) / 1000.0
-        if answer.direct and answer.host and answer.port is not None:
-            self._route = answer
-            self._route_expires = time.monotonic() + lease
-            return answer
-        # The server declined a direct path (shard down or restarting):
-        # relay until the hinted interval passes, then ask again.
-        self._relay_until = time.monotonic() + (lease if lease > 0 else 0.25)
-        return None
 
-    def _direct_for(self, method: str) -> control.RouteResult | None:
-        """The route to send ``method`` on, with the direct wire
-        connected — or ``None`` when this request must relay."""
-        if self.session is None or not self._direct_enabled():
-            return None
-        if method in CONTROL or method.startswith("service."):
-            return None
-        now = time.monotonic()
-        if now < self._relay_until:
-            return None
-        route = self._route_for(now)
-        if route is None:
-            return None
-        target = (route.host, route.port)
-        if self._direct_file is None or self._direct_target != target:
-            try:
-                self._connect_direct(target)
-            except OSError:
-                # The lease points at a socket that will not answer;
-                # drop to the relay path and re-route shortly.
-                self._drop_direct(forget_route=True)
-                self._relay_until = time.monotonic() + 0.5
-                return None
-        return route
+    def _lease(self) -> control.RouteResult:
+        """The cached route lease, or a fresh one: a single
+        ``service.route`` round trip, whose failure is the caller's
+        failed attempt."""
+        if self._route is None or time.monotonic() >= self._route_expires:
+            self._route = self._round_trip(
+                "service.route",
+                control.RouteRequest(session=self.session),
+                file=self._file,
+            )
+            self.route_refreshes += 1
+            self._route_expires = (
+                time.monotonic() + max(self._route.lease_ms, 0) / 1000.0
+            )
+        return self._route
 
     def _connect_direct(self, target: tuple[str, int]) -> None:
         self._close_direct()
@@ -320,12 +290,6 @@ class ServiceClient:
                 pass
             self._direct_sock = None
         self._direct_target = None
-
-    def _drop_direct(self, *, forget_route: bool = False) -> None:
-        self._close_direct()
-        if forget_route:
-            self._route = None
-            self._route_expires = 0.0
 
     def _absorb_moved(self, exc: ReproError) -> None:
         """Fold a ``service.moved`` into the route cache: adopt the
@@ -350,8 +314,6 @@ class ServiceClient:
                 port=detail.port,
                 generation=detail.generation,
             )
-        else:
-            self._route_expires = 0.0
 
     # -- requests ------------------------------------------------------------
 
@@ -364,32 +326,27 @@ class ServiceClient:
     def request(self, method: str, request):
         """Round-trip an already-built request dataclass, retrying
         transient failures per the client's :class:`RetryPolicy`."""
+        routed = self._routed(method)
         for attempt in range(max(1, self.retry.attempts)):
             last_attempt = attempt >= self.retry.attempts - 1
+            # The wire this attempt is on (``None`` while dialing a
+            # shard), and whether the command itself has gone out yet.
+            channel, sent = self._file, False
             try:
-                route = self._direct_for(method)
-                if route is not None:
-                    try:
-                        result = self._round_trip(
-                            method,
-                            request,
-                            file=self._direct_file,
-                            generation=route.generation,
-                        )
-                    except (ConnectionError, BrokenPipeError, OSError):
-                        # The shard socket died mid-request; whether it
-                        # reached the shard is unknown — same contract
-                        # as shard_failed.  The control wire is fine:
-                        # fall back to relay, do not reconnect it.
-                        self._drop_direct(forget_route=True)
-                        if last_attempt or not _replay_safe(method):
-                            raise
-                        self._pause(self.retry.delay(attempt, self._rng))
-                        continue
+                generation = None
+                if routed:
+                    route = self._lease()
+                    channel = None
+                    target = (route.host, route.port)
+                    if self._direct_target != target:
+                        self._connect_direct(target)
+                    channel, generation = self._direct_file, route.generation
+                sent = True
+                result = self._round_trip(
+                    method, request, file=channel, generation=generation
+                )
+                if routed:
                     self.direct_calls += 1
-                    return result
-                result = self._round_trip(method, request, file=self._file)
-                self.relayed_calls += 1
                 return result
             except ReproError as exc:
                 code = getattr(exc, "code", None)
@@ -406,13 +363,16 @@ class ServiceClient:
                 hint = getattr(exc, "retry_after_ms", None)
                 self._pause(self.retry.delay(attempt, self._rng, hint))
             except (ConnectionError, BrokenPipeError, OSError):
-                # The control socket itself failed; whether the request
-                # reached the server is unknown — same contract as
-                # shard_failed.
-                if last_attempt or not _replay_safe(method):
+                # Once the command is written, whether it reached the
+                # server is unknown — same contract as shard_failed.
+                if last_attempt or (sent and not _replay_safe(method)):
                     raise
                 self._pause(self.retry.delay(attempt, self._rng))
-                self._reconnect()
+                if channel is self._file:
+                    self._reconnect()
+                else:
+                    self._close_direct()
+                    self._route = None  # re-route on the next attempt
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _pause(self, delay: float) -> None:
@@ -424,7 +384,7 @@ class ServiceClient:
         self._next_id += 1
         id = self._next_id
         # The root span of the distributed trace: its reference rides
-        # the envelope so supervisor and shard spans stitch back to it.
+        # the envelope so the shard's spans stitch back to it.
         span = trace.begin("client.request", method=method)
         context = None
         if span.ref is not None:

@@ -12,7 +12,8 @@ Three of them form the negotiated routing handshake:
   clients gate behavior on the capability set instead of guessing
   from the topology.
 * ``service.route`` — the supervisor maps a session id to its owning
-  shard's data-socket address plus a lease (generation number + TTL).
+  shard's data-socket address plus a lease (generation number + TTL),
+  or answers ``service.shard_failed`` while that shard is down.
   Clients dial the shard directly and re-route when the lease expires
   or a ``service.moved`` error says the generation went stale.
 * ``service.describe`` — the typed registry exported as a
@@ -95,12 +96,15 @@ class ServiceStatsResult:
     """Service-wide counters.
 
     The six original fields keep their protocol-v1 meaning (on a
-    supervisor they aggregate over every shard); the defaulted fields
-    were added with sharding and old writers simply omit them —
-    ``pid``/``queued`` describe the answering process, ``shed`` counts
-    admission-control refusals, ``shard_failures`` counts in-flight
-    requests failed by shard deaths, and ``shards`` carries one
-    :class:`ShardStats` per worker process (empty single-process)."""
+    supervisor, ``connections``/``requests``/``sessions`` are its own
+    and the rest aggregate over every live shard); the defaulted
+    fields were added with sharding and old writers simply omit them —
+    ``pid`` is the answering process, ``queued`` the commands in
+    flight, ``shed`` counts load-shedding refusals,
+    ``shard_failures`` counts supervisor calls failed by shard deaths,
+    and ``shards`` carries one :class:`ShardStats` per worker process
+    (empty single-process).  Every field is read off the merged
+    metrics snapshot (:func:`repro.service.telemetry.stats_result`)."""
 
     connections: int
     requests: int
@@ -113,7 +117,7 @@ class ServiceStatsResult:
     shed: int = 0
     shard_failures: int = 0
     #: Requests that arrived on a shard's own data socket (stamped with
-    #: a route-lease generation) rather than through the supervisor.
+    #: a route-lease generation).
     direct_requests: int = 0
     shards: tuple[ShardStats, ...] = ()
     #: Shared cell library traffic (zero when no --library-dir).
@@ -208,8 +212,8 @@ class HelloResult:
 class RouteRequest:
     """Where does this session live?  Also performs admission: routing
     an unknown session name claims it (subject to the session cap), so
-    the route errors carry the same codes a relayed first command
-    would."""
+    the route errors carry the same codes a session command sent to
+    the supervisor's socket gets."""
 
     session: str
 
@@ -217,9 +221,9 @@ class RouteRequest:
 @dataclass(frozen=True)
 class RouteResult:
     session: str
-    #: False when the server cannot (or will not) offer a direct path
-    #: right now — single-process, shard down/restarting — in which
-    #: case the client must relay and may re-ask after ``lease_ms``.
+    #: False on a single-process server, whose one socket already is
+    #: the data path; a supervisor always leases a direct path (or
+    #: answers an error while the shard is down).
     direct: bool
     shard: int | None = None
     host: str | None = None

@@ -85,8 +85,8 @@ class ShardFailedError(ServiceError):
 
 
 class OverloadedError(ServiceError):
-    """Admission control refused the request — per-shard queue depth
-    over the shed threshold, or the shard's crash-loop circuit open.
+    """Admission control refused the request — the shard's in-flight
+    count at its shed threshold, or the shard's crash-loop circuit open.
     Nothing was executed; the request is always safe to retry after
     ``retry_after_ms``."""
 
@@ -94,11 +94,12 @@ class OverloadedError(ServiceError):
 
 
 class SessionMovedError(ServiceError):
-    """A direct-to-shard request landed on the wrong shard or carried
-    a stale route-lease generation.  Nothing was executed.  ``detail``
+    """A session command landed somewhere other than its shard's data
+    socket — the supervisor, the wrong shard — or carried a stale
+    route-lease generation.  Nothing was executed.  ``detail``
     carries the owner's coordinates when the shard knows them (its own
-    address + current generation for a stale lease); clients refresh
-    their route and retry replayable commands, or fall back to the
-    supervisor relay."""
+    address + current generation for a stale lease, or the owning
+    shard's when the supervisor redirects a session command); clients
+    refresh their route and retry replayable commands."""
 
     code = "service.moved"

@@ -154,7 +154,7 @@ class SessionWorker:
                 # back; this session (and every other) continues
                 # untouched.
                 self.failed += 1
-                self.service.counters["errors"] += 1
+                self.service.count("errors")
                 error_code = wire_error_code(exc)
                 result = None
                 response_exc = exc
@@ -177,25 +177,19 @@ class SessionWorker:
             total_us = telemetry.us(
                 t_done - (t_enqueue if t_enqueue is not None else t_start)
             )
-            direct = envelope.generation is not None
-            if direct:
-                # The data-plane analog of ``relay``: the shard's own
-                # turnaround (queue + handler), no supervisor hop.
+            if envelope.generation is not None:
+                # The shard's own turnaround (queue + handler) for a
+                # request that arrived on its data socket.
                 stages["direct"] = total_us
-            if direct or self.service.shard_index is None:
-                # Channel ownership keeps the merged view exact: the
-                # supervisor records every *relayed* request, so a
-                # shard records only the direct ones (plus everything,
-                # single-process) — each request counted exactly once.
-                self.service.telemetry.record_request(
-                    envelope.method,
-                    total_us=total_us,
-                    stages=stages,
-                    session=self.name,
-                    shard=self.service.shard_index,
-                    trace_id=trace_id,
-                    error=error_code,
-                )
+            self.service.telemetry.record_request(
+                envelope.method,
+                total_us=total_us,
+                stages=stages,
+                session=self.name,
+                shard=self.service.shard_index,
+                trace_id=trace_id,
+                error=error_code,
+            )
             if queue_s > 0:
                 rec = trace.record("shard.queue", queue_s, 0.0)
                 if rec is not None:
@@ -271,7 +265,7 @@ class SessionWorker:
                 asyncio.shield(future), self.service.timeout
             )
         except asyncio.TimeoutError:
-            self.service.counters["timeouts"] += 1
+            self.service.count("timeouts")
             return wire.encode_error(
                 envelope.id,
                 ServiceTimeout(
@@ -346,7 +340,8 @@ class RiotService:
         #: when hosted by the supervisor).
         self.process_label = process_label
         #: Request-stage histograms + flight recorder, aggregated over
-        #: every session in this process.
+        #: every session in this process; its registry also holds the
+        #: ``service.*`` counters (:meth:`count`).
         self.telemetry = telemetry.TelemetryHub(process=process_label)
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         #: The shared cell library every session publishes into; the
@@ -361,15 +356,6 @@ class RiotService:
         #: normally ``None``; set by ``REPRO_CHAOS`` runs.
         self.chaos = chaos
         self.workers: dict[str, SessionWorker] = {}
-        self.counters = {
-            "connections": 0,
-            "requests": 0,
-            "errors": 0,
-            "timeouts": 0,
-            "backpressure": 0,
-            "shed": 0,
-            "direct": 0,
-        }
         self._server: asyncio.AbstractServer | None = None
         self._closing = False
         self._closed: asyncio.Event | None = None
@@ -390,9 +376,18 @@ class RiotService:
         obs_metrics.register_export_provider(self._session_metrics)
         return self
 
+    def count(self, name: str) -> None:
+        """Bump the ``service.<name>`` counter (thread-safe)."""
+        self.telemetry.registry.counter(f"service.{name}").inc()
+
     def _session_metrics(self) -> dict:
         """Everything the process registry alone cannot see: session-
-        scoped registries merged with the telemetry hub."""
+        scoped registries merged with the telemetry hub (the
+        ``service.*`` counters, plus the session census and queue depth
+        sampled now)."""
+        hub = self.telemetry.registry
+        hub.gauge("service.sessions").set(len(self.workers))
+        hub.gauge("service.queued").set(self.inflight)
         snaps = [self.telemetry.snapshot()]
         for worker in self.workers.values():
             session = worker.session
@@ -405,13 +400,9 @@ class RiotService:
         session's scoped registry, the request-stage histograms, and
         the service counters — merged into one snapshot (what a shard
         piggybacks on its heartbeat pong)."""
-        merged = obs_metrics.merge_snapshots(
+        return obs_metrics.merge_snapshots(
             obs_metrics.registry().snapshot(), self._session_metrics()
         )
-        for key, value in self.counters.items():
-            name = f"service.{key}"
-            merged[name] = merged.get(name, 0) + value
-        return {name: merged[name] for name in sorted(merged)}
 
     async def serve_forever(self) -> None:
         await self._closed.wait()
@@ -419,7 +410,7 @@ class RiotService:
     # -- connections --------------------------------------------------------
 
     async def _serve_connection(self, reader, writer) -> None:
-        self.counters["connections"] += 1
+        self.count("connections")
         self._conn_writers.add(writer)
         write_lock = asyncio.Lock()
         pending: set[asyncio.Task] = set()
@@ -446,7 +437,7 @@ class RiotService:
                 await writer.wait_closed()
 
     async def _serve_line(self, line: bytes, writer, write_lock) -> None:
-        self.counters["requests"] += 1
+        self.count("requests")
         response = await self._respond(line)
         if response is None:  # chaos swallowed it (drop-heartbeat)
             return
@@ -462,20 +453,20 @@ class RiotService:
         try:
             envelope = wire.parse_request(line)
         except ReproError as exc:
-            self.counters["errors"] += 1
+            self.count("errors")
             return wire.encode_error(_fish_id(line), exc)
         if envelope.method.startswith("service."):
             try:
                 return await self._control(envelope)
             except ReproError as exc:
-                self.counters["errors"] += 1
+                self.count("errors")
                 return wire.encode_error(envelope.id, exc)
         if self._closing:
             return wire.encode_error(
                 envelope.id, ShutdownError("service is shutting down")
             )
         if not envelope.session:
-            self.counters["errors"] += 1
+            self.count("errors")
             return wire.encode_error(
                 envelope.id,
                 BadRequest(
@@ -483,13 +474,13 @@ class RiotService:
                 ),
             )
         if envelope.generation is not None:
-            self.counters["direct"] += 1
+            self.count("direct")
             refused = self._check_direct(envelope)
             if refused is not None:
-                self.counters["errors"] += 1
+                self.count("errors")
                 return wire.encode_error(envelope.id, refused)
         if self.shed_at is not None and self.inflight >= self.shed_at:
-            self.counters["shed"] += 1
+            self.count("shed")
             return wire.encode_error(
                 envelope.id,
                 OverloadedError(
@@ -501,12 +492,12 @@ class RiotService:
         try:
             worker = self._worker(envelope.session)
         except ServiceError as exc:
-            self.counters["errors"] += 1
+            self.count("errors")
             return wire.encode_error(envelope.id, exc)
         try:
             return await worker.execute(envelope)
         except BackpressureError as exc:
-            self.counters["backpressure"] += 1
+            self.count("backpressure")
             return wire.encode_error(envelope.id, exc)
 
     def _check_direct(self, envelope) -> SessionMovedError | None:
@@ -630,29 +621,11 @@ class RiotService:
                 )
             )
         elif envelope.method == "service.stats":
-            library = (
-                self.cellstore.counters
-                if self.cellstore is not None
-                else {}
-            )
-            cache = self._cache_counters()
-            result = control.ServiceStatsResult(
-                connections=self.counters["connections"],
-                requests=self.counters["requests"],
-                errors=self.counters["errors"],
-                timeouts=self.counters["timeouts"],
-                backpressure=self.counters["backpressure"],
-                sessions=len(self.workers),
-                pid=os.getpid(),
-                queued=sum(w.depth for w in self.workers.values()),
-                shed=self.counters["shed"],
-                direct_requests=self.counters["direct"],
-                library_publishes=library.get("publishes", 0),
-                library_conflicts=library.get("conflicts", 0),
-                library_cascades=library.get("cascades", 0),
-                cache_hits=cache["hits"],
-                cache_misses=cache["misses"],
-                cache_evictions=cache["evictions"],
+            # Without the process-wide registry: an in-process host
+            # (tests, benchmarks) shares it, and its counts are not
+            # this service's.
+            result = telemetry.stats_result(
+                self._session_metrics(), own="service"
             )
         else:  # service.shutdown — ack, then drain in the background.
             result = control.ShutdownResult(
@@ -665,21 +638,6 @@ class RiotService:
             )
             self.request_shutdown()
         return wire.encode_result(envelope.id, envelope.method, result)
-
-    def _cache_counters(self) -> dict:
-        """Pipeline artifact-cache traffic summed across this process's
-        sessions (each session has its own scoped metrics registry)."""
-        totals = {"hits": 0, "misses": 0, "evictions": 0}
-        for worker in self.workers.values():
-            session = worker.session
-            if session is None:
-                continue
-            snapshot = session.metrics.snapshot()
-            for short in totals:
-                value = snapshot.get(f"pipeline.cache.{short}", 0)
-                if isinstance(value, int):
-                    totals[short] += value
-        return totals
 
     # -- shutdown -------------------------------------------------------------
 
@@ -881,9 +839,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--shed-at", type=int, default=256,
-        help="supervisor mode: refuse (service.overloaded, with a "
-             "retry_after_ms hint) once a shard has this many requests "
-             "in flight (default 256)",
+        help="supervisor mode: each shard refuses session commands "
+             "(service.overloaded, with a retry_after_ms hint) once it "
+             "has this many in flight (default 256)",
     )
     parser.add_argument(
         "--heartbeat-timeout", type=float, default=2.0,

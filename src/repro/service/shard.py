@@ -4,21 +4,23 @@ A shard is a full :class:`repro.service.server.RiotService` — the same
 session workers, queues, deadlines and per-session WALs as the
 single-process server — running in its own interpreter with its own
 WAL directory, listening on a loopback port it prints at startup
-(``listening on HOST:PORT``).  That socket is both the supervisor's
-relay connection and the shard's **data plane**: clients holding a
+(``listening on HOST:PORT``).  That socket is the shard's **data
+plane**, the only path a session command takes: clients holding a
 ``service.route`` lease dial it directly, stamping the lease's
 generation on each request; the shard refuses stale generations and
-wrong-shard sessions with ``service.moved``.  Crash
-isolation is the point: a shard that segfaults, OOMs, or is SIGKILLed
-takes only its own sessions down, and those resume by WAL salvage +
-replay when the supervisor restarts it.
+wrong-shard sessions with ``service.moved``.  It enforces ``--shed-at``
+itself and records every request it executes in its own telemetry.
+Crash isolation is the point: a shard that segfaults, OOMs, or is
+SIGKILLed takes only its own sessions down, and those resume by WAL
+salvage + replay when the supervisor restarts it.
 
-The supervisor speaks ordinary protocol v1 to the shard (there is no
-second wire format to version): session commands are forwarded
-verbatim with remapped ids, and ``service.ping`` doubles as the
-heartbeat.  A shard also watches its stdin — the pipe the supervisor
-holds — and drains gracefully on EOF, so an orphaned shard never
-outlives a dead supervisor.
+The supervisor holds one connection to the same socket and speaks
+ordinary protocol v1 on it (there is no second wire format to
+version): ``service.ping`` doubles as the heartbeat and carries the
+shard's metrics snapshot back, and a session warm-up after a restart
+is a plain ``cells``.  A shard also watches its stdin — the pipe the
+supervisor holds — and drains gracefully on EOF, so an orphaned shard
+never outlives a dead supervisor.
 
 Runnable directly for debugging::
 

@@ -6,7 +6,8 @@ routing decision — sessions map to shards by consistent hash
 (:class:`HashRing`), so a session name lands on the same shard across
 requests, connections *and shard restarts*.
 
-The planes are split:
+A session command has exactly one path: client → ``service.route``
+lease → the shard's own socket.
 
 * **Control plane** (this socket): ``service.*`` commands, and the
   ``service.route`` handshake that maps a session to its owning
@@ -16,11 +17,12 @@ The planes are split:
   directly and stamps the generation on every request; the shard
   refuses stale generations and wrong-shard sessions with
   ``service.moved`` (carrying its current coordinates), at which point
-  the client refreshes its route or falls back to the relay.
-* **Relay fallback** (also this socket): session commands sent here
-  are forwarded to the owning shard verbatim with remapped request
-  ids, exactly as before the split — old clients keep working, and
-  new clients relay whenever a shard is down or mid-restart.
+  the client refreshes its route.
+* **Redirect**: a session command sent to this socket is admitted
+  like a route request, then answered — never forwarded — with
+  ``service.moved`` carrying the owning shard's coordinates, or with
+  ``service.shard_failed`` / ``service.overloaded`` while that shard
+  is down.
 
 Shard data ports are *pinned* across restarts (the respawn reuses the
 dead shard's port), so the address in a stale client's lease — and in
@@ -30,18 +32,19 @@ generation moves.
 Robustness model, in order of the request path:
 
 * **Admission control** — a new session name beyond ``max_sessions``
-  answers ``service.session_limit``; a shard whose in-flight queue is
-  at ``shed_at`` answers ``service.overloaded`` with a
+  answers ``service.session_limit``; each shard with ``shed_at``
+  commands in flight answers ``service.overloaded`` with a
   ``retry_after_ms`` pacing hint instead of buffering unboundedly.
 * **Crash isolation** — a shard death (exit, SIGKILL, heartbeat
-  timeout) fails only that shard's in-flight requests, each with
-  ``service.shard_failed`` (safe to retry for replayable commands);
-  every other shard keeps serving untouched.
+  timeout) drops only that shard's connections; until it is back,
+  routing its sessions answers ``service.shard_failed`` (safe to
+  retry for replayable commands).  Every other shard keeps serving
+  untouched.
 * **Supervision** — the dead shard is restarted under a
   :class:`~repro.service.health.RestartGovernor`: prompt restart after
   productive lives, exponential backoff for crash loops, and a circuit
-  breaker that stops restarting a shard that never serves (requests
-  then shed with ``service.overloaded`` until the cooldown ends).
+  breaker that stops restarting a shard that never serves (routing
+  then answers ``service.overloaded`` until the cooldown ends).
 * **Recovery** — each shard owns a WAL directory
   (``journal_dir/shard-K``), so its sessions' journals survive it; on
   restart the supervisor warms every affected session back up, which
@@ -62,9 +65,7 @@ import contextlib
 import hashlib
 import json
 import os
-import signal
 import sys
-import time
 from pathlib import Path
 
 from repro.api import wire
@@ -73,13 +74,14 @@ from repro.api.errors import BadRequest
 from repro.api.manifest import build_manifest
 from repro.api.types import PROTOCOL_VERSION
 from repro.errors import ReproError
-from repro.obs import metrics, trace
+from repro.obs import metrics
 from repro.service import control, telemetry
 from repro.service.errors import (
     BadSessionName,
     OverloadedError,
     ServiceError,
     SessionLimitError,
+    SessionMovedError,
     ShardFailedError,
     ShutdownError,
 )
@@ -149,12 +151,14 @@ class ShardHandle:
         #: (port stolen) so the next attempt falls back to port 0.
         self.data_host: str | None = None
         self.data_port: int | None = None
-        #: Supervisor-assigned uid -> (client id, response future).
-        self.pending: dict[int, tuple[object, asyncio.Future]] = {}
+        #: Supervisor-assigned uid -> response future, for the
+        #: supervisor's own calls (heartbeats, warm-ups, fan-out).
+        self.pending: dict[int, asyncio.Future] = {}
         self._next_uid = 0
         self.restarts = 0
         #: The latest metrics snapshot this shard piggybacked on a
-        #: heartbeat pong (``None`` until the first one answers).
+        #: heartbeat pong (``None`` until the first one answers, and
+        #: while the shard is down).
         self.last_metrics: dict | None = None
         #: ok responses to session commands in the current life.
         self.acked = 0
@@ -170,6 +174,26 @@ class ShardHandle:
     def next_uid(self) -> int:
         self._next_uid += 1
         return self._next_uid
+
+    def failure(self, why: str) -> ShardFailedError:
+        """``service.shard_failed`` for this shard, with the restart
+        pacing hint."""
+        return ShardFailedError(
+            f"shard {self.index} {why}",
+            retry_after_ms=self.retry_hint_ms,
+            detail=wire.ErrorDetail(
+                shard=self.index, generation=self.generation
+            ),
+        )
+
+    def unavailable(self) -> ServiceError:
+        """Why this down shard cannot take a session right now."""
+        if self.governor.circuit_open:
+            return OverloadedError(
+                f"shard {self.index} is crash-looping; circuit open",
+                retry_after_ms=self.governor.retry_after_ms(),
+            )
+        return self.failure("is restarting")
 
 
 class Supervisor:
@@ -222,20 +246,13 @@ class Supervisor:
         #: file per process — the set ``tools/check_trace.py`` stitches.
         self.trace_path = trace_path
         self.process_label = "supervisor"
-        #: Request-stage histograms (supervisor_queue / relay / totals)
-        #: plus the flight recorder of the slowest/errored requests.
-        self.telemetry = telemetry.TelemetryHub(process="supervisor")
+        #: This process's own counters, prefixed ``supervisor.`` so they
+        #: never sum with the shards' ``service.*`` counters in a merge.
+        self.registry = metrics.MetricsRegistry()
         self.ring = HashRing(shards)
         self.shards = [ShardHandle(self, i) for i in range(shards)]
         #: session name -> shard index (the admission-control census).
         self.session_shard: dict[str, int] = {}
-        self.counters = {
-            "connections": 0,
-            "requests": 0,
-            "errors": 0,
-            "shed": 0,
-            "shard_failures": 0,
-        }
         self._server: asyncio.AbstractServer | None = None
         self._conn_writers: set = set()
         self._closing = False
@@ -262,11 +279,14 @@ class Supervisor:
         metrics.register_export_provider(self._telemetry_export)
         return self
 
+    def _count(self, name: str, n: int = 1) -> None:
+        self.registry.counter(f"supervisor.{name}").inc(n)
+
     def _telemetry_export(self) -> dict:
         """The ``--metrics`` contribution beyond the process registry:
-        the supervisor's own stage histograms plus every shard's latest
+        the supervisor's own counters plus every shard's latest
         piggybacked snapshot under a ``shard<i>.`` prefix."""
-        out = dict(self.telemetry.snapshot())
+        out = dict(self.registry.snapshot())
         for handle in self.shards:
             for name, value in (handle.last_metrics or {}).items():
                 out[f"shard{handle.index}.{name}"] = value
@@ -376,7 +396,7 @@ class Supervisor:
         )
 
     async def _pump(self, handle: ShardHandle, generation: int) -> None:
-        """Relay shard responses back to their waiting futures."""
+        """Hand shard responses to the supervisor calls awaiting them."""
         reader = handle.reader
         try:
             while True:
@@ -389,8 +409,8 @@ class Supervisor:
                     continue
                 if not isinstance(data, dict):
                     continue
-                entry = handle.pending.pop(data.get("id"), None)
-                if entry is None:
+                future = handle.pending.pop(data.get("id"), None)
+                if future is None:
                     continue
                 if data.get("ok") and not str(
                     data.get("method") or ""
@@ -398,8 +418,6 @@ class Supervisor:
                     # Productive work: the crash-loop breaker resets.
                     handle.acked += 1
                     handle.governor.record_progress()
-                original_id, future = entry
-                data["id"] = original_id
                 if not future.done():
                     future.set_result(data)
         except (ConnectionResetError, OSError):
@@ -415,7 +433,7 @@ class Supervisor:
         handle.alive = False
         handle.generation += 1
         if handle.proc is not None and not self._closing:
-            # During graceful shutdown the EOF on the relay connection
+            # During graceful shutdown the EOF on the shard connection
             # is the shard *draining*, not dying: it still has WALs to
             # checkpoint and its trace/metrics files to write, and
             # ``_shutdown`` already waits on (and, past the deadline,
@@ -425,21 +443,18 @@ class Supervisor:
         if handle.writer is not None:
             handle.writer.close()
         pending, handle.pending = handle.pending, {}
-        self.counters["shard_failures"] += len(pending)
-        failure = ShardFailedError(
-            f"shard {handle.index} died ({reason}) with this request in "
-            "flight; its sessions resume from their WALs after restart",
-            retry_after_ms=handle.retry_hint_ms,
-            detail=wire.ErrorDetail(
-                shard=handle.index, generation=handle.generation
-            ),
+        self._count("shard_failures", len(pending))
+        failure = handle.failure(
+            f"died ({reason}) with this request in flight; its sessions "
+            "resume from their WALs after restart"
         )
-        for _, future in pending.values():
+        for future in pending.values():
             if not future.done():
                 future.set_exception(failure)
         if self._closing:
             return
-        metrics.counter("service.shard_restarts").inc()
+        handle.last_metrics = None
+        self.registry.counter("service.shard_restarts").inc()
         decision = handle.governor.record_death(progress=handle.acked > 0)
         handle.restarts += 1
         handle.retry_hint_ms = int(decision.delay * 1000) + _SPAWN_ESTIMATE_MS
@@ -482,36 +497,36 @@ class Supervisor:
             if not handle.alive:
                 continue
             generation = handle.generation
-            metrics.gauge(f"service.shard.{handle.index}.queued").set(
-                len(handle.pending)
-            )
             try:
-                raw = await asyncio.wait_for(
-                    self._shard_call(
-                        handle, "service.ping", params={"telemetry": True}
-                    ),
-                    self.heartbeat_timeout,
+                await asyncio.wait_for(
+                    self._ping(handle), self.heartbeat_timeout
                 )
-                self._absorb_pong(handle, raw)
             except asyncio.TimeoutError:
                 self._shard_down(handle, generation, "heartbeat timeout")
             except ServiceError:
                 pass  # already detected down by another path
 
-    @staticmethod
-    def _absorb_pong(handle: ShardHandle, raw: str) -> None:
-        """Keep the metrics snapshot a telemetry pong piggybacked."""
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError:  # pragma: no cover - shard bug
-            return
-        if not isinstance(data, dict) or not data.get("ok"):
-            return
+    async def _ping(self, handle: ShardHandle) -> None:
+        """A telemetry ping: keep the metrics snapshot the pong
+        piggybacks."""
+        data = await self._shard_call(
+            handle, "service.ping", params={"telemetry": True}
+        )
         snapshot = (data.get("result") or {}).get("metrics")
-        if isinstance(snapshot, dict):
+        if data.get("ok") and isinstance(snapshot, dict):
             handle.last_metrics = snapshot
 
-    # -- forwarding ----------------------------------------------------------
+    async def _refresh(self, handle: ShardHandle) -> None:
+        """Refresh one live shard's snapshot on demand; a shard that
+        does not answer keeps its last heartbeat's."""
+        if not handle.alive:
+            return
+        with contextlib.suppress(
+            ServiceError, ReproError, asyncio.TimeoutError, OSError
+        ):
+            await asyncio.wait_for(self._ping(handle), self.heartbeat_timeout)
+
+    # -- supervisor calls ----------------------------------------------------
 
     async def _shard_call(
         self,
@@ -520,142 +535,27 @@ class Supervisor:
         *,
         session: str | None = None,
         params: dict | None = None,
-    ) -> str:
-        """A supervisor-originated request down the shard connection."""
-        envelope = wire.RequestEnvelope(
-            method=method, params=params or {}, id=None, session=session
-        )
-        return await self._forward_envelope(handle, envelope, admission=False)
-
-    async def _forward_envelope(
-        self,
-        handle: ShardHandle,
-        envelope: wire.RequestEnvelope,
-        *,
-        admission: bool = True,
-    ) -> str:
+    ) -> dict:
+        """A supervisor-originated request down the shard connection
+        (heartbeats, warm-ups, fan-out, shutdown); the parsed response."""
         if not handle.alive:
-            if handle.governor.circuit_open:
-                raise OverloadedError(
-                    f"shard {handle.index} is crash-looping; circuit open",
-                    retry_after_ms=handle.governor.retry_after_ms(),
-                )
-            raise ShardFailedError(
-                f"shard {handle.index} is restarting",
-                retry_after_ms=handle.retry_hint_ms,
-                detail=wire.ErrorDetail(
-                    shard=handle.index, generation=handle.generation
-                ),
-            )
-        if admission and len(handle.pending) >= self.shed_at:
-            self.counters["shed"] += 1
-            metrics.counter("service.shed").inc()
-            # Pace the retry by how far past the threshold we are: one
-            # queue_limit's worth of backlog is ~one scheduling round.
-            backlog = len(handle.pending) - self.shed_at + 1
-            raise OverloadedError(
-                f"shard {handle.index} has {len(handle.pending)} request(s) "
-                f"in flight (shed at {self.shed_at}); retry later",
-                retry_after_ms=min(2000, 25 * backlog + 25),
-            )
-        t_recv = time.perf_counter()
-        context = envelope.trace or {}
-        trace_id = context.get("id")
-        request_span = relay_span = trace.NULL_SPAN
-        if admission:
-            request_span = trace.begin(
-                "supervisor.request",
-                trace_id=trace_id,
-                remote_parent=context.get("parent"),
-                method=envelope.method,
-                shard=handle.index,
-            )
+            raise handle.unavailable()
         uid = handle.next_uid()
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        handle.pending[uid] = (envelope.id, future)
+        handle.pending[uid] = future
+        line = wire.canonical_json(
+            wire.RequestEnvelope(
+                method=method, params=params or {}, id=uid, session=session
+            )
+        )
         try:
-            if admission:
-                relay_span = trace.begin(
-                    "relay.hop",
-                    trace_id=trace_id,
-                    remote_parent=request_span.ref or context.get("parent"),
-                    shard=handle.index,
-                )
-            forwarded = None
-            if trace_id is not None:
-                forwarded = {
-                    "id": trace_id,
-                    "parent": (
-                        relay_span.ref
-                        or request_span.ref
-                        or context.get("parent")
-                    ),
-                }
-            line = wire.canonical_json(
-                wire.RequestEnvelope(
-                    method=envelope.method,
-                    params=envelope.params,
-                    id=uid,
-                    session=envelope.session,
-                    trace=forwarded,
-                )
-            )
-            t_send = time.perf_counter()
-            try:
-                handle.writer.write(line.encode("utf-8") + b"\n")
-                await handle.writer.drain()
-            except (ConnectionResetError, OSError):
-                handle.pending.pop(uid, None)
-                raise ShardFailedError(
-                    f"shard {handle.index} connection failed mid-send",
-                    retry_after_ms=handle.retry_hint_ms,
-                    detail=wire.ErrorDetail(
-                        shard=handle.index, generation=handle.generation
-                    ),
-                ) from None
-            try:
-                data = await future
-            except ServiceError as exc:
-                if admission:
-                    now = time.perf_counter()
-                    code = getattr(exc, "code", "service.error")
-                    request_span.set("error", code)
-                    self.telemetry.record_request(
-                        envelope.method,
-                        total_us=telemetry.us(now - t_recv),
-                        stages={
-                            "supervisor_queue": telemetry.us(t_send - t_recv)
-                        },
-                        session=envelope.session,
-                        shard=handle.index,
-                        trace_id=trace_id,
-                        error=code,
-                    )
-                raise
-            finally:
-                handle.pending.pop(uid, None)
+            handle.writer.write(line.encode("utf-8") + b"\n")
+            await handle.writer.drain()
+            return await future
+        except (ConnectionResetError, OSError):
+            raise handle.failure("connection failed mid-send") from None
         finally:
-            relay_span.close()
-            request_span.close()
-        if admission:
-            t_done = time.perf_counter()
-            stages = dict(data.get("stages") or {})
-            stages["supervisor_queue"] = telemetry.us(t_send - t_recv)
-            stages["relay"] = telemetry.us(t_done - t_send)
-            data["stages"] = stages
-            error = None
-            if not data.get("ok"):
-                error = (data.get("error") or {}).get("code")
-            self.telemetry.record_request(
-                envelope.method,
-                total_us=telemetry.us(t_done - t_recv),
-                stages=stages,
-                session=envelope.session,
-                shard=handle.index,
-                trace_id=trace_id,
-                error=error,
-            )
-        return json.dumps(data, sort_keys=True, separators=(",", ":"))
+            handle.pending.pop(uid, None)
 
     async def _resume_sessions(
         self, handle: ShardHandle, generation: int
@@ -679,7 +579,7 @@ class Supervisor:
     # -- the client-facing server --------------------------------------------
 
     async def _serve_connection(self, reader, writer) -> None:
-        self.counters["connections"] += 1
+        self._count("connections")
         self._conn_writers.add(writer)
         write_lock = asyncio.Lock()
         pending: set[asyncio.Task] = set()
@@ -706,7 +606,7 @@ class Supervisor:
                 await writer.wait_closed()
 
     async def _serve_line(self, line: bytes, writer, write_lock) -> None:
-        self.counters["requests"] += 1
+        self._count("requests")
         response = await self._respond(line)
         async with write_lock:
             with contextlib.suppress(ConnectionResetError, OSError):
@@ -717,34 +617,49 @@ class Supervisor:
         try:
             envelope = wire.parse_request(line)
         except ReproError as exc:
-            self.counters["errors"] += 1
+            self._count("errors")
             return wire.encode_error(_fish_id(line), exc)
         if envelope.method.startswith("service."):
             try:
                 return await self._control(envelope)
             except ReproError as exc:
-                self.counters["errors"] += 1
+                self._count("errors")
                 return wire.encode_error(envelope.id, exc)
         if self._closing:
             return wire.encode_error(
                 envelope.id, ShutdownError("service is shutting down")
             )
+        # A session command is never forwarded: every answer here is an
+        # error, and a good one points at the one path, the shard.
+        self._count("errors")
+        return wire.encode_error(envelope.id, self._redirect(envelope))
+
+    def _redirect(self, envelope: wire.RequestEnvelope) -> ReproError:
+        """Admit a session command's session, then name its shard's
+        own socket (or say why that shard cannot take it now)."""
         if not envelope.session:
-            self.counters["errors"] += 1
-            return wire.encode_error(
-                envelope.id,
-                BadRequest(
-                    f"method {envelope.method!r} needs a 'session' field"
-                ),
+            return BadRequest(
+                f"method {envelope.method!r} needs a 'session' field"
             )
         try:
-            handle = self._route(envelope.session)
-            return await self._forward_envelope(handle, envelope)
+            handle = self._live_shard(envelope.session)
         except ServiceError as exc:
-            self.counters["errors"] += 1
-            return wire.encode_error(envelope.id, exc)
+            return exc
+        return SessionMovedError(
+            f"session {envelope.session!r} lives on shard {handle.index} "
+            f"at {handle.data_host}:{handle.data_port}; send session "
+            "commands there (see service.route)",
+            detail=wire.ErrorDetail(
+                shard=handle.index,
+                generation=handle.generation,
+                host=handle.data_host,
+                port=handle.data_port,
+            ),
+        )
 
-    def _route(self, name: str) -> ShardHandle:
+    def _live_shard(self, name: str) -> ShardHandle:
+        """Admit ``name`` (the session census) and return its shard, if
+        that shard is up."""
         index = self.session_shard.get(name)
         if index is None:
             if not _SESSION_NAME.match(name):
@@ -758,7 +673,13 @@ class Supervisor:
                 )
             index = self.ring.shard_for(name)
             self.session_shard[name] = index
-        return self.shards[index]
+            self.registry.gauge("supervisor.sessions").set(
+                len(self.session_shard)
+            )
+        handle = self.shards[index]
+        if not handle.alive:
+            raise handle.unavailable()
+        return handle
 
     # -- the control plane ---------------------------------------------------
 
@@ -772,7 +693,7 @@ class Supervisor:
                 version=PROTOCOL_VERSION,
                 sessions=len(self.session_shard),
                 metrics=(
-                    self._own_telemetry() if request.telemetry else None
+                    self.registry.snapshot() if request.telemetry else None
                 ),
             )
         elif envelope.method == "service.hello":
@@ -804,101 +725,55 @@ class Supervisor:
         return wire.encode_result(envelope.id, envelope.method, result)
 
     def _route_result(self, session: str) -> "control.RouteResult":
-        """Answer ``service.route``: where the session lives, and — when
-        its shard is up — a direct lease.  Routing *admits* the session
-        (same census as a relayed first command), so the error codes a
-        client sees here match what the relay would have said."""
-        handle = self._route(session)
-        if handle.alive and handle.data_port is not None:
-            return control.RouteResult(
-                session=session,
-                direct=True,
-                shard=handle.index,
-                host=handle.data_host,
-                port=handle.data_port,
-                generation=handle.generation,
-                lease_ms=int(self.route_lease * 1000),
-            )
-        # Down or mid-restart: relay for now, re-ask after the hint.
+        """Answer ``service.route``: a direct lease on the session's
+        shard.  Routing *admits* the session, and a down shard answers
+        ``service.shard_failed`` (or ``service.overloaded`` with its
+        circuit open) — the same codes a session command sent to this
+        socket gets."""
+        handle = self._live_shard(session)
         return control.RouteResult(
             session=session,
-            direct=False,
+            direct=True,
             shard=handle.index,
-            lease_ms=handle.retry_hint_ms,
+            host=handle.data_host,
+            port=handle.data_port,
+            generation=handle.generation,
+            lease_ms=int(self.route_lease * 1000),
         )
 
-    def _own_telemetry(self) -> dict:
-        """The supervisor process's own metrics: stage histograms,
-        the process registry, and the routing counters (prefixed
-        ``supervisor.`` so they never sum with the shards' distinct
-        ``service.*`` counters in a merge)."""
-        merged = metrics.merge_snapshots(
-            metrics.registry().snapshot(), self.telemetry.snapshot()
+    async def _merged(self) -> dict:
+        """The whole-service snapshot: every live shard's freshly pinged
+        one merged with the supervisor's own counters."""
+        await asyncio.gather(*(self._refresh(h) for h in self.shards))
+        return metrics.merge_snapshots(
+            self.registry.snapshot(),
+            *((h.last_metrics or {}) for h in self.shards),
         )
-        for key, value in self.counters.items():
-            name = f"supervisor.{key}"
-            merged[name] = merged.get(name, 0) + value
-        return {name: merged[name] for name in sorted(merged)}
 
     async def _collect_telemetry(
         self, request: control.TelemetryRequest
     ) -> control.TelemetryResult:
-        """The distributed view: refresh every live shard's snapshot
-        (a telemetry ping, same as the heartbeat's), then merge."""
-
-        async def refresh(handle: ShardHandle) -> None:
-            if not handle.alive:
-                return
-            try:
-                raw = await asyncio.wait_for(
-                    self._shard_call(
-                        handle, "service.ping", params={"telemetry": True}
-                    ),
-                    self.heartbeat_timeout,
-                )
-                self._absorb_pong(handle, raw)
-            except (ServiceError, ReproError, asyncio.TimeoutError, OSError):
-                pass  # keep the last heartbeat's snapshot
-
-        await asyncio.gather(*(refresh(h) for h in self.shards))
-        own = self._own_telemetry()
-        # Channel ownership keeps the merge exact: the supervisor's
-        # histograms hold every *relayed* request, each shard's hold
-        # only its *direct* ones (see SessionWorker._dispatch), so
-        # merging them counts each request exactly once, whichever
-        # plane it travelled.
-        merged = metrics.merge_snapshots(
-            own, *((h.last_metrics or {}) for h in self.shards)
-        )
-        slowest_records: list = []
-        errored_records: list = []
+        merged = await self._merged()
+        slowest: list = []
+        errored: list = []
         if request.slow:
-            slowest, errored = self.telemetry.flight()
-            slowest_records = [
-                control.FlightRecord(**entry) for entry in slowest
-            ]
-            errored_records = [
-                control.FlightRecord(**entry) for entry in errored
-            ]
-            # Direct traffic never crosses the supervisor, so its
-            # flight records live in the shards; pull them in.
+            # Every request executes in one shard and is recorded
+            # there, so the flight records all live in the shards.
             for _, result in await self._control_fanout(
                 "service.telemetry",
                 control.TelemetryResult,
                 params={"slow": True},
             ):
-                if result is None:
-                    continue
-                slowest_records.extend(result.slowest)
-                errored_records.extend(result.errored)
-            keep = self.telemetry.recorder.keep
-            slowest_records.sort(key=lambda r: -r.total_us)
-            del slowest_records[keep:]
-            del errored_records[keep:]
+                if result is not None:
+                    slowest.extend(result.slowest)
+                    errored.extend(result.errored)
+            slowest.sort(key=lambda r: -r.total_us)
+            del slowest[telemetry.KEEP:]
+            del errored[telemetry.KEEP:]
         return control.TelemetryResult(
             process=self.process_label,
             pid=os.getpid(),
-            metrics=own,
+            metrics=self.registry.snapshot(),
             merged=merged,
             shards=tuple(
                 control.ShardTelemetry(
@@ -906,8 +781,8 @@ class Supervisor:
                 )
                 for h in self.shards
             ),
-            slowest=tuple(slowest_records),
-            errored=tuple(errored_records),
+            slowest=tuple(slowest),
+            errored=tuple(errored),
         )
 
     async def _control_fanout(
@@ -919,15 +794,14 @@ class Supervisor:
             if not handle.alive:
                 return handle, None
             try:
-                raw = await asyncio.wait_for(
+                data = await asyncio.wait_for(
                     self._shard_call(handle, method, params=params),
                     self.heartbeat_timeout,
                 )
-                parsed = wire.parse_response(raw)
-                if not parsed.ok:
+                if not data.get("ok"):
                     return handle, None
                 return handle, from_jsonable(
-                    result_cls, parsed.result, where=method
+                    result_cls, data.get("result"), where=method
                 )
             except (ServiceError, ReproError, asyncio.TimeoutError, OSError):
                 return handle, None
@@ -957,69 +831,23 @@ class Supervisor:
         return control.SessionsResult(sessions=tuple(merged))
 
     async def _collect_stats(self) -> control.ServiceStatsResult:
-        collected = await self._control_fanout(
-            "service.stats", control.ServiceStatsResult
-        )
-        errors = self.counters["errors"]
-        timeouts = 0
-        backpressure = 0
-        queued = 0
-        shed = self.counters["shed"]
-        direct_requests = 0
-        cache_hits = 0
-        cache_misses = 0
-        cache_evictions = 0
-        library_publishes = 0
-        library_conflicts = 0
-        library_cascades = 0
-        shard_stats: list[control.ShardStats] = []
-        for handle, stats in collected:
-            if stats is not None:
-                errors += stats.errors
-                timeouts += stats.timeouts
-                backpressure += stats.backpressure
-                queued += stats.queued
-                shed += stats.shed
-                direct_requests += stats.direct_requests
-                cache_hits += stats.cache_hits
-                cache_misses += stats.cache_misses
-                cache_evictions += stats.cache_evictions
-                # Each operation executes in exactly one shard, so
-                # summing the per-process store counters gives the
-                # store-wide totals.
-                library_publishes += stats.library_publishes
-                library_conflicts += stats.library_conflicts
-                library_cascades += stats.library_cascades
-            shard_stats.append(
+        merged = await self._merged()
+        shards = []
+        for h in self.shards:
+            snapshot = h.last_metrics or {}
+            shards.append(
                 control.ShardStats(
-                    index=handle.index,
-                    pid=handle.pid,
-                    alive=handle.alive,
-                    restarts=handle.restarts,
-                    sessions=stats.sessions if stats is not None else 0,
-                    queued=stats.queued if stats is not None else 0,
-                    circuit_open=handle.governor.circuit_open,
+                    index=h.index,
+                    pid=h.pid,
+                    alive=h.alive,
+                    restarts=h.restarts,
+                    sessions=snapshot.get("service.sessions", 0),
+                    queued=snapshot.get("service.queued", 0),
+                    circuit_open=h.governor.circuit_open,
                 )
             )
-        return control.ServiceStatsResult(
-            connections=self.counters["connections"],
-            requests=self.counters["requests"],
-            errors=errors,
-            timeouts=timeouts,
-            backpressure=backpressure,
-            sessions=len(self.session_shard),
-            pid=os.getpid(),
-            queued=queued,
-            shed=shed,
-            shard_failures=self.counters["shard_failures"],
-            direct_requests=direct_requests,
-            shards=tuple(shard_stats),
-            library_publishes=library_publishes,
-            library_conflicts=library_conflicts,
-            library_cascades=library_cascades,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            cache_evictions=cache_evictions,
+        return telemetry.stats_result(
+            merged, own="supervisor", shards=tuple(shards)
         )
 
     # -- shutdown ------------------------------------------------------------
@@ -1042,16 +870,7 @@ class Supervisor:
             # One last telemetry fetch, so the ``--metrics`` export
             # reflects the shard's final numbers, not its last
             # heartbeat's.
-            with contextlib.suppress(
-                ServiceError, ReproError, asyncio.TimeoutError
-            ):
-                raw = await asyncio.wait_for(
-                    self._shard_call(
-                        handle, "service.ping", params={"telemetry": True}
-                    ),
-                    self.heartbeat_timeout,
-                )
-                self._absorb_pong(handle, raw)
+            await self._refresh(handle)
             # Graceful: the shard drains its queues and checkpoints
             # every WAL before exiting; SIGKILL only past the deadline.
             with contextlib.suppress(
@@ -1078,29 +897,6 @@ class Supervisor:
                 await writer.wait_closed()
         await asyncio.sleep(0.01)
         self._closed.set()
-
-
-def _install_signal_handlers(service) -> None:
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError):
-            loop.add_signal_handler(sig, service.request_shutdown)
-
-
-async def _amain(args) -> None:
-    supervisor = await Supervisor(
-        host=args.host,
-        port=args.port,
-        shards=args.shards,
-        max_sessions=args.max_sessions,
-        queue_limit=args.queue_limit,
-        timeout=args.timeout,
-        shed_at=args.shed_at,
-        journal_dir=args.journal_dir,
-    ).start()
-    print(f"listening on {supervisor.host}:{supervisor.port}", flush=True)
-    _install_signal_handlers(supervisor)
-    await supervisor.serve_forever()
 
 
 # -- in-process harness (tests, benchmarks) ---------------------------------
@@ -1168,19 +964,3 @@ class SupervisorThread:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-#: Recovery-time bookkeeping for benchmarks: wall-clock helpers only.
-def wait_for_shard_alive(
-    client, index: int, deadline_s: float = 30.0
-) -> float:
-    """Poll ``service.stats`` until shard ``index`` is alive again;
-    returns the seconds waited (benchmark helper)."""
-    start = time.perf_counter()
-    while time.perf_counter() - start < deadline_s:
-        stats = client.call("service.stats")
-        for shard in stats.shards:
-            if shard.index == index and shard.alive:
-                return time.perf_counter() - start
-        time.sleep(0.02)
-    raise TimeoutError(f"shard {index} did not come back within {deadline_s}s")

@@ -13,17 +13,10 @@ The stage names, in request order:
 ``client``
     the whole round trip as the client measured it (only the client
     knows this one; it reports it into its own process's registry);
-``supervisor_queue``
-    parse-to-forward time inside the supervisor (absent single-process
-    and on the direct path);
-``relay``
-    supervisor→shard hop: forward written to response line read back
-    (absent single-process and on the direct path);
 ``direct``
     the shard's own turnaround for a direct-to-shard request: line
-    parsed to response encoded, queue and handler included — the
-    data-plane analog of ``relay``, without the supervisor hop
-    (absent on relayed requests);
+    parsed to response encoded, queue and handler included (absent
+    single-process, where the connection is the only path);
 ``shard_queue``
     waiting in the session's bounded command queue for its one thread;
 ``handler``
@@ -35,26 +28,34 @@ The stage names, in request order:
 A :class:`TelemetryHub` owns one process's stage histograms plus a
 bounded **flight recorder** of the slowest and the errored requests,
 each with its full stage decomposition — the first place to look when
-a tail latency or an error spike needs a concrete culprit.  Shards
-piggyback their hub snapshots on heartbeat pongs; the supervisor keeps
-the latest per shard and merges them (histograms merge bucket-wise,
-see :func:`repro.obs.metrics.merge_snapshots`) into the whole-service
-view ``service.telemetry`` serves.
+a tail latency or an error spike needs a concrete culprit.  The hub's
+registry also holds the process's ``service.*`` counters, so one
+snapshot carries everything the process counted.  Every session
+command executes in exactly one shard and is recorded there, once.
+Shards piggyback their snapshots on heartbeat pongs; the supervisor
+keeps the latest per shard and merges them (histograms merge
+bucket-wise, see :func:`repro.obs.metrics.merge_snapshots`) into the
+whole-service view ``service.telemetry`` serves, and
+:func:`stats_result` reads ``service.stats`` off that same merge.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
 import threading
 
 from repro.api.registry import REGISTRY
 from repro.obs.metrics import MetricsRegistry
+from repro.service import control
+
+#: Flight-recorder depth: how many slowest / errored requests a
+#: process keeps (and the supervisor keeps of the shards' union).
+KEEP = 32
 
 #: Stage names in request order (the rendering order of ``repro top``).
 STAGES: tuple[str, ...] = (
     "client",
-    "supervisor_queue",
-    "relay",
     "direct",
     "shard_queue",
     "handler",
@@ -120,12 +121,11 @@ class FlightRecorder:
     Keeps the ``keep`` slowest requests (a min-heap on total time, so
     a faster-than-the-floor request costs one comparison) and the last
     ``keep`` errored ones (a ring), each as a plain dict shaped like
-    :class:`repro.service.control.FlightRecord`.  Thread-safe; the
-    shard's session threads and the supervisor's event loop both feed
-    it directly.
+    :class:`repro.service.control.FlightRecord`.  Thread-safe: every
+    session thread of a process feeds it directly.
     """
 
-    def __init__(self, keep: int = 32) -> None:
+    def __init__(self, keep: int = KEEP) -> None:
         self.keep = keep
         self._seq = 0
         self._slow: list[tuple[int, int, dict]] = []  # (total_us, seq, entry)
@@ -167,7 +167,7 @@ class TelemetryHub:
     need.
     """
 
-    def __init__(self, process: str = "server", keep: int = 32) -> None:
+    def __init__(self, process: str = "server", keep: int = KEEP) -> None:
         self.process = process
         self.registry = MetricsRegistry()
         self.recorder = FlightRecorder(keep)
@@ -219,3 +219,45 @@ class TelemetryHub:
     def flight(self) -> tuple[list[dict], list[dict]]:
         """(slowest, errored) flight-recorder entries."""
         return self.recorder.slowest(), self.recorder.errored()
+
+
+def stats_result(
+    merged: dict,
+    *,
+    own: str,
+    shards: tuple = (),
+) -> "control.ServiceStatsResult":
+    """``service.stats`` read off one merged metrics snapshot.
+
+    ``own`` is the counter prefix of the answering process —
+    ``"service"`` single-process, ``"supervisor"`` in front of shards —
+    whose connections, requests and session census the result
+    reports.  Everything else sums over the merge: each shard's
+    ``service.*`` counters, the ``library.*`` store traffic and the
+    ``pipeline.cache.*`` traffic its sessions counted.
+    """
+
+    def n(key: str) -> int:
+        value = merged.get(key, 0)
+        return int(value) if isinstance(value, (int, float)) else 0
+
+    return control.ServiceStatsResult(
+        connections=n(f"{own}.connections"),
+        requests=n(f"{own}.requests"),
+        errors=n("service.errors") + n("supervisor.errors"),
+        timeouts=n("service.timeouts"),
+        backpressure=n("service.backpressure"),
+        sessions=n(f"{own}.sessions"),
+        pid=os.getpid(),
+        queued=n("service.queued"),
+        shed=n("service.shed"),
+        shard_failures=n("supervisor.shard_failures"),
+        direct_requests=n("service.direct"),
+        shards=shards,
+        library_publishes=n("library.publishes"),
+        library_conflicts=n("library.conflicts"),
+        library_cascades=n("library.cascades"),
+        cache_hits=n("pipeline.cache.hits"),
+        cache_misses=n("pipeline.cache.misses"),
+        cache_evictions=n("pipeline.cache.evictions"),
+    )

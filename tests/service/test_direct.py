@@ -1,6 +1,7 @@
 """The direct-to-shard data plane, end to end: the negotiated routing
-handshake, direct traffic bypassing the supervisor, lease-generation
-staleness after a shard restart, relay failover mid-kill, and the
+handshake, direct traffic bypassing the supervisor, the supervisor's
+redirect of session commands sent to its own socket, lease-generation
+staleness after a shard restart, riding out a kill mid-burst, and the
 chaos crash-point invariant on the direct path — all against real
 shard subprocesses via :class:`SupervisorThread`."""
 
@@ -8,11 +9,14 @@ from __future__ import annotations
 
 import os
 import signal
+import socket
 import time
 
 import pytest
 
+from repro.api import types as t
 from repro.api.types import PROTOCOL_VERSION
+from repro.api.wire import encode_request, parse_response
 from repro.core import wal
 from repro.errors import ReproError
 from repro.service.client import NO_RETRY, RetryPolicy, ServiceClient
@@ -53,6 +57,29 @@ def wait_for_restart(
             return
         time.sleep(0.05)
     raise TimeoutError(f"shard {index} did not restart")
+
+
+def wait_for_death(client, index: int, deadline: float = 10.0) -> None:
+    start = time.monotonic()
+    while time.monotonic() - start < deadline:
+        stats = client.call("service.stats")
+        if not next(s for s in stats.shards if s.index == index).alive:
+            return
+        time.sleep(0.01)
+    raise TimeoutError(f"shard {index} never went down")
+
+
+def raw_cells(address, session: str):
+    """One ``cells`` line sent the old way — to the supervisor's own
+    socket — and the response it gets."""
+    with socket.create_connection(address, timeout=30) as sock:
+        wire = sock.makefile("rwb")
+        line = encode_request("cells", t.CellsRequest(), id=7, session=session)
+        wire.write(line.encode("utf-8") + b"\n")
+        wire.flush()
+        response = parse_response(wire.readline())
+    assert response.id == 7 and not response.ok
+    return response.error
 
 
 @pytest.fixture(scope="module")
@@ -106,14 +133,6 @@ class TestDirectPath:
             stats = control.call("service.stats")
         assert stats.direct_requests >= 5
 
-    def test_direct_false_pins_the_relay_path(self, sup):
-        with client_for(sup, session="dr-pinned", direct=False) as client:
-            client.call("new_cell", name="top")
-            stages = dict(client.last_stages)
-        assert client.direct_calls == 0
-        assert client.relayed_calls >= 1
-        assert "relay" in stages and "direct" not in stages
-
     def test_direct_request_to_the_wrong_shard_is_refused(self, sup):
         # Dial shard A's data socket, stamp a lease, but name a session
         # the ring assigns to shard B: the shard itself refuses.
@@ -132,7 +151,6 @@ class TestDirectPath:
                 route.port,
                 session=other,
                 retry=NO_RETRY,
-                direct=False,
             ) as intruder:
                 # Forge a direct envelope by stamping the generation.
                 from repro.service.client import method_types
@@ -213,8 +231,75 @@ class TestStaleLease:
             assert "top" in client.call("cells").names
 
 
+class TestRedirect:
+    """The supervisor forwards no session command: one sent to its
+    socket is admitted, then pointed at the owning shard."""
+
+    def test_session_command_gets_moved_with_the_shard_address(self, sup):
+        name = "rd-moved"
+        error = raw_cells(sup.address, name)
+        assert error.code == "service.moved"
+        with client_for(sup) as control:
+            route = control.call("service.route", session=name)
+        detail = error.detail
+        assert (detail.shard, detail.host, detail.port, detail.generation) == (
+            route.shard,
+            route.host,
+            route.port,
+            route.generation,
+        )
+        # Nothing executed: the shard never opened the session.
+        with client_for(sup) as control:
+            listed = control.call("service.sessions").sessions
+        assert name not in {s.name for s in listed}
+
+    def test_admission_errors_come_first(self, sup):
+        assert raw_cells(sup.address, ".dotfile").code == "service.bad_session"
+        with SupervisorThread(shards=2, max_sessions=1) as srv:
+            assert raw_cells(srv.address, "one").code == "service.moved"
+            refused = raw_cells(srv.address, "two")
+            assert refused.code == "service.session_limit"
+
+    def test_down_shard_answers_shard_failed_on_both_paths(self):
+        ring = HashRing(2)
+        name = "rd-down"
+        index = ring.shard_for(name)
+        # A slow restart keeps the shard down long enough to look.
+        with SupervisorThread(
+            shards=2, governor_kwargs={"base_delay": 3.0, "max_delay": 3.0}
+        ) as srv:
+            with client_for(srv, retry=NO_RETRY) as control:
+                assert control.call("service.route", session=name).direct
+                os.kill(shard_pid_for(control, index), signal.SIGKILL)
+                wait_for_death(control, index)
+                redirected = raw_cells(srv.address, name)
+                with pytest.raises(ReproError) as excinfo:
+                    control.call("service.route", session=name)
+        for error in (redirected, excinfo.value):
+            assert error.code == "service.shard_failed"
+            assert error.retry_after_ms >= 3000
+            assert error.detail.shard == index
+            assert error.detail.generation == 1
+
+    def test_open_circuit_answers_overloaded(self):
+        name = "rd-loop"
+        index = HashRing(2).shard_for(name)
+        with SupervisorThread(
+            shards=2, governor_kwargs={"max_failures": 1, "cooldown": 30.0}
+        ) as srv:
+            with client_for(srv, retry=NO_RETRY) as control:
+                os.kill(shard_pid_for(control, index), signal.SIGKILL)
+                wait_for_death(control, index)
+                redirected = raw_cells(srv.address, name)
+                with pytest.raises(ReproError) as excinfo:
+                    control.call("service.route", session=name)
+        for error in (redirected, excinfo.value):
+            assert error.code == "service.overloaded"
+            assert error.retry_after_ms > 0
+
+
 class TestFailover:
-    def test_kill_mid_burst_fails_over_then_re_redirects(self, tmp_path):
+    def test_kill_mid_burst_rides_out_the_restart_direct(self, tmp_path):
         name = "dr-failover"
         with SupervisorThread(
             shards=1, journal_dir=tmp_path, route_lease=30.0
@@ -224,31 +309,30 @@ class TestFailover:
                 client.call(
                     "create", at=(0, 20000), cell_name="nand", name="g0"
                 )
-                assert client.direct_calls == 2
                 with client_for(srv) as control:
                     os.kill(shard_pid_for(control, 0), signal.SIGKILL)
-                # The direct socket is dead: the client falls back
-                # through the supervisor relay and rides out the
-                # restart with retries.
+                # The direct socket is dead: the client re-routes —
+                # ``service.shard_failed`` paces it while the shard
+                # restarts — and lands on the new life's data socket.
                 moved = client.call("move", name="g0", to=(400, 20000))
                 assert moved.x == 400
                 assert client.retries >= 1
-                with client_for(srv) as control:
-                    wait_for_restart(control, 0)
-                # After the relay-until window passes, the client
-                # re-routes and the direct path comes back.
-                direct_before = client.direct_calls
-                deadline = time.monotonic() + 10.0
-                while time.monotonic() < deadline:
-                    client.call("rotate", name="g0")
-                    if client.direct_calls > direct_before:
-                        break
-                    time.sleep(0.1)
-                assert client.direct_calls > direct_before
                 assert client.route_refreshes >= 2
+                assert client._route.generation >= 1
+                for _ in range(3):
+                    client.call("rotate", name="g0")
+                # Every acknowledged command travelled the data plane.
+                assert client.direct_calls == 6
         journal = wal.load_path(tmp_path / "shard-0" / f"{name}.wal")
         assert journal.corruption is None
-        assert journal.entries[0].command == "new_cell"
+        assert [e.command for e in journal.entries] == [
+            "new_cell",
+            "create",
+            "move",
+            "rotate",
+            "rotate",
+            "rotate",
+        ]
 
 
 class TestChaosCrashPointDirect:

@@ -6,7 +6,7 @@ cross-process) spans in :mod:`repro.obs.trace`; the ``trace`` /
 ``stages`` envelope fields on the wire; then the live aggregation —
 ``service.telemetry`` on a single-process service and on a supervised
 sharded one, heartbeat piggybacking included — and the satellite
-regression: per-session metrics isolation across the sharded relay.
+regression: per-session metrics isolation across shards.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.service.client import ServiceClient
 from repro.service.server import ServiceThread
 from repro.service.supervisor import SupervisorThread
 from repro.service.telemetry import (
-    STAGES,
     FlightRecorder,
     TelemetryHub,
     command_class,
@@ -120,7 +119,7 @@ class TestTelemetryHub:
 class TestDetachedSpans:
     def test_begin_allocates_ref_before_close(self):
         tracer = trace.Tracer()
-        span = tracer.begin("supervisor.request", method="rotate")
+        span = tracer.begin("shard.request", method="rotate")
         label, _, span_id = span.ref.partition(":")
         assert label == trace.process_label()
         assert int(span_id) == span.record.span_id
@@ -128,7 +127,7 @@ class TestDetachedSpans:
         span.close()
         assert tracer.open_count() == 0
         (rec,) = tracer.finished()
-        assert rec.name == "supervisor.request"
+        assert rec.name == "shard.request"
 
     def test_remote_parent_and_trace_id_ride_the_record(self):
         tracer = trace.Tracer()
@@ -142,14 +141,14 @@ class TestDetachedSpans:
 
     def test_detached_close_off_thread_leaves_stack_alone(self):
         tracer = trace.Tracer()
-        span = tracer.begin("relay.hop")
+        span = tracer.begin("shard.request")
         worker = threading.Thread(target=span.close)
         worker.start()
         worker.join()
         with tracer.span("unrelated"):
             pass
         assert {r.name for r in tracer.finished()} == {
-            "relay.hop", "unrelated"
+            "shard.request", "unrelated"
         }
 
     def test_module_begin_is_null_span_when_disabled(self):
@@ -323,20 +322,6 @@ class TestShardedTelemetry:
         assert "relay" not in stages and "supervisor_queue" not in stages
         assert stages["client"] >= stages["direct"] >= stages["handler"]
 
-    def test_relay_path_still_decomposes_supervisor_stages(self, sharded):
-        host, port = sharded.supervisor.host, sharded.supervisor.port
-        with ServiceClient(
-            host, port, session="tel-relayed", direct=False
-        ) as client:
-            client.call("new_cell", name="bench")
-            stages = dict(client.last_stages)
-        for stage in STAGES:
-            if stage == "direct":
-                assert stage not in stages, stages
-            else:
-                assert stage in stages, stages
-        assert stages["client"] >= stages["relay"]
-
     def test_flight_recorder_attributes_shard_and_session(self, sharded):
         host, port = sharded.supervisor.host, sharded.supervisor.port
         drive(host, port, "tel-flight")
@@ -346,10 +331,9 @@ class TestShardedTelemetry:
         entry = result.slowest[0]
         assert entry.session is not None
         assert entry.shard in (0, 1)
-        # Relayed entries carry the supervisor's stages; direct entries
-        # (merged in from the shards' own recorders) carry ``direct``.
-        stages = set(entry.stages)
-        assert stages >= {"supervisor_queue", "relay"} or "direct" in stages
+        # Every entry comes from a shard's own recorder; client traffic
+        # arrived on the shard's data socket.
+        assert "direct" in entry.stages
 
     def test_trace_context_stitches_when_client_traces(self, sharded):
         host, port = sharded.supervisor.host, sharded.supervisor.port
@@ -375,7 +359,7 @@ class TestShardedTelemetry:
 
 class TestSessionIsolationAcrossShards:
     """Satellite: two concurrent sessions must not bleed counters into
-    each other's ``stats`` view through the sharded relay."""
+    each other's ``stats`` view across shards."""
 
     def test_stats_stay_per_session(self, sharded):
         host, port = sharded.supervisor.host, sharded.supervisor.port
