@@ -8,7 +8,8 @@ journal, and trace/metrics scope.  The wire protocol is version 1 of
 :mod:`repro.api.wire`: newline-delimited JSON, no dependencies,
 talkable with ``nc``.
 
-Two deployment shapes, same wire format:
+Two deployment shapes, same wire format, one socket front end
+(:mod:`repro.service.frontend`, shared by every listening process):
 
 * single process — :mod:`repro.service.server`
   (``python -m repro serve``);

@@ -60,6 +60,7 @@ immediately; retrying cannot help.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import socket
 import time
@@ -138,6 +139,14 @@ def _replay_safe(method: str) -> bool:
         return True
     spec = REGISTRY.get(method)
     return spec is not None and spec.replayable
+
+
+def _close_quietly(*resources) -> None:
+    """Close each socket or socket file that is open, ignoring errors."""
+    for resource in resources:
+        if resource is not None:
+            with contextlib.suppress(OSError):
+                resource.close()
 
 
 class ServiceClient:
@@ -277,19 +286,8 @@ class ServiceClient:
         self._direct_target = target
 
     def _close_direct(self) -> None:
-        if self._direct_file is not None:
-            try:
-                self._direct_file.close()
-            except OSError:
-                pass
-            self._direct_file = None
-        if self._direct_sock is not None:
-            try:
-                self._direct_sock.close()
-            except OSError:
-                pass
-            self._direct_sock = None
-        self._direct_target = None
+        _close_quietly(self._direct_file, self._direct_sock)
+        self._direct_file = self._direct_sock = self._direct_target = None
 
     def _absorb_moved(self, exc: ReproError) -> None:
         """Fold a ``service.moved`` into the route cache: adopt the
@@ -426,18 +424,8 @@ class ServiceClient:
 
     def close(self) -> None:
         self._close_direct()
-        if self._file is not None:
-            try:
-                self._file.close()
-            except OSError:
-                pass
-            self._file = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+        _close_quietly(self._file, self._sock)
+        self._file = self._sock = None
 
     def __enter__(self) -> "ServiceClient":
         return self

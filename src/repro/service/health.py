@@ -5,11 +5,12 @@ inline — it asks a :class:`RestartGovernor`, which is pure policy over
 an injected clock and therefore unit-testable without a process in
 sight.  The policy distinguishes two kinds of death:
 
-* a shard that *made progress* (acknowledged at least one command
-  since its last start) and then died — chaos kill, OOM, operator
-  ``kill -9`` — restarts promptly, and the failure streak resets:
-  productive work is evidence the code path is healthy;
-* a shard that dies *without* ever acknowledging a command is
+* a shard that *made progress* (served a session command since its
+  last start: ok ones counted in its latest heartbeat pong, or a
+  warm-up the supervisor saw acknowledged) and then died — chaos kill,
+  OOM, operator ``kill -9`` — restarts promptly, and the failure streak
+  resets: productive work is evidence the code path is healthy;
+* a shard that dies *without* ever serving a command is
   crash-looping.  Each such death doubles the restart delay
   (deterministic exponential backoff, capped), and after
   ``max_failures`` consecutive no-progress deaths the circuit opens:
@@ -92,7 +93,7 @@ class RestartGovernor:
     def record_death(self, *, progress: bool) -> RestartDecision:
         """One shard death; returns how to handle the restart.
 
-        ``progress`` is whether the dead life acknowledged at least one
+        ``progress`` is whether the dead life served at least one
         command.
         """
         if progress:

@@ -1,4 +1,7 @@
-"""The asyncio socket server hosting many editor sessions.
+"""The server hosting many editor sessions: ``python -m repro serve``,
+and the body of every shard.  On the shared socket front end
+(:mod:`repro.service.frontend`) it answers a session command by
+running it.
 
 Concurrency model, in one paragraph: each session is a
 :class:`SessionWorker` — an editor + :class:`repro.api.session.Session`
@@ -25,41 +28,42 @@ REPLAY recovery story, per seat.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import contextlib
-import json
 import os
-import re
-import signal
 import sys
 from pathlib import Path
 
 from repro.api import wire
-from repro.api.codec import from_jsonable
-from repro.api.errors import BadRequest
-from repro.api.manifest import build_manifest
 from repro.api.session import Session
 from repro.api.store import MemoryStore
 from repro.api.types import PROTOCOL_VERSION
-from repro.errors import ReproError
 from repro.errors import error_code as wire_error_code
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 from repro.service import control, telemetry
 from repro.service.errors import (
     BackpressureError,
-    BadSessionName,
     OverloadedError,
     ServiceError,
     ServiceTimeout,
-    SessionLimitError,
     SessionMovedError,
-    ShutdownError,
+)
+from repro.service.frontend import (
+    LineServer,
+    ServerThread,
+    check_session_name,
+    run_cli,
+    server_kwargs,
+    server_parser,
 )
 
-#: Session names double as WAL file stems, so keep them path-safe.
-_SESSION_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+
+def _stage_span(name, seconds, trace_id, request_span, **attrs) -> None:
+    """Record a finished stage as a child of ``request_span``."""
+    rec = trace.record(name, seconds, 0.0, **attrs)
+    if rec is not None:
+        rec.trace_id = trace_id
+        rec.remote_parent = request_span.ref
 
 
 class SessionWorker:
@@ -191,21 +195,18 @@ class SessionWorker:
                 error=error_code,
             )
             if queue_s > 0:
-                rec = trace.record("shard.queue", queue_s, 0.0)
-                if rec is not None:
-                    rec.trace_id = trace_id
-                    rec.remote_parent = request_span.ref
-            rec = trace.record(
-                "handler.execute", handler_s, 0.0, method=envelope.method
+                _stage_span("shard.queue", queue_s, trace_id, request_span)
+            _stage_span(
+                "handler.execute",
+                handler_s,
+                trace_id,
+                request_span,
+                method=envelope.method,
             )
-            if rec is not None:
-                rec.trace_id = trace_id
-                rec.remote_parent = request_span.ref
             if fsync_s > 0:
-                rec = trace.record("wal.fsync.request", fsync_s, 0.0)
-                if rec is not None:
-                    rec.trace_id = trace_id
-                    rec.remote_parent = request_span.ref
+                _stage_span(
+                    "wal.fsync.request", fsync_s, trace_id, request_span
+                )
             if error_code is not None:
                 request_span.set("error", error_code)
                 return wire.encode_error(
@@ -290,7 +291,7 @@ class SessionWorker:
         await asyncio.to_thread(drain)
 
 
-class RiotService:
+class RiotService(LineServer):
     """The server: session registry, control plane, graceful drain."""
 
     def __init__(
@@ -310,8 +311,7 @@ class RiotService:
         generation: int = 0,
         shed_at: int | None = None,
     ) -> None:
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.max_sessions = max_sessions
         self.queue_limit = queue_limit
         self.timeout = timeout
@@ -343,6 +343,7 @@ class RiotService:
         #: every session in this process; its registry also holds the
         #: ``service.*`` counters (:meth:`count`).
         self.telemetry = telemetry.TelemetryHub(process=process_label)
+        self.registry = self.telemetry.registry
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         #: The shared cell library every session publishes into; the
         #: store's own file lock serializes cross-process publishes, so
@@ -352,33 +353,18 @@ class RiotService:
             from repro.cellstore import CellStore
 
             self.cellstore = CellStore(library_dir)
-        #: Fault-injection policy (:class:`repro.service.chaos.ChaosPolicy`),
-        #: normally ``None``; set by ``REPRO_CHAOS`` runs.
         self.chaos = chaos
         self.workers: dict[str, SessionWorker] = {}
-        self._server: asyncio.AbstractServer | None = None
-        self._closing = False
-        self._closed: asyncio.Event | None = None
-        self._shutdown_task: asyncio.Task | None = None
-        self._conn_writers: set = set()
 
     async def start(self) -> "RiotService":
         if self.journal_dir is not None:
             self.journal_dir.mkdir(parents=True, exist_ok=True)
-        self._closed = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen()
         # Session registries are context-scoped, so without this the
         # process-wide ``--metrics`` export would miss every session's
         # counters (and the request-stage histograms).
         obs_metrics.register_export_provider(self._session_metrics)
         return self
-
-    def count(self, name: str) -> None:
-        """Bump the ``service.<name>`` counter (thread-safe)."""
-        self.telemetry.registry.counter(f"service.{name}").inc()
 
     def _session_metrics(self) -> dict:
         """Everything the process registry alone cannot see: session-
@@ -404,75 +390,9 @@ class RiotService:
             obs_metrics.registry().snapshot(), self._session_metrics()
         )
 
-    async def serve_forever(self) -> None:
-        await self._closed.wait()
+    # -- session commands: executed here -------------------------------------
 
-    # -- connections --------------------------------------------------------
-
-    async def _serve_connection(self, reader, writer) -> None:
-        self.count("connections")
-        self._conn_writers.add(writer)
-        write_lock = asyncio.Lock()
-        pending: set[asyncio.Task] = set()
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.create_task(
-                    self._serve_line(line, writer, write_lock)
-                )
-                pending.add(task)
-                task.add_done_callback(pending.discard)
-        except (ConnectionResetError, OSError):
-            pass
-        finally:
-            self._conn_writers.discard(writer)
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _serve_line(self, line: bytes, writer, write_lock) -> None:
-        self.count("requests")
-        response = await self._respond(line)
-        if response is None:  # chaos swallowed it (drop-heartbeat)
-            return
-        async with write_lock:
-            with contextlib.suppress(ConnectionResetError, OSError):
-                writer.write(response.encode("utf-8") + b"\n")
-                await writer.drain()
-        if self.chaos is not None:
-            # The acknowledgement point: the response is on the wire.
-            self.chaos.after_response(line, response)
-
-    async def _respond(self, line: bytes) -> str | None:
-        try:
-            envelope = wire.parse_request(line)
-        except ReproError as exc:
-            self.count("errors")
-            return wire.encode_error(_fish_id(line), exc)
-        if envelope.method.startswith("service."):
-            try:
-                return await self._control(envelope)
-            except ReproError as exc:
-                self.count("errors")
-                return wire.encode_error(envelope.id, exc)
-        if self._closing:
-            return wire.encode_error(
-                envelope.id, ShutdownError("service is shutting down")
-            )
-        if not envelope.session:
-            self.count("errors")
-            return wire.encode_error(
-                envelope.id,
-                BadRequest(
-                    f"method {envelope.method!r} needs a 'session' field"
-                ),
-            )
+    async def _session_command(self, envelope: wire.RequestEnvelope) -> str:
         if envelope.generation is not None:
             self.count("direct")
             refused = self._check_direct(envelope)
@@ -533,302 +453,118 @@ class RiotService:
             )
         return None
 
-    # -- sessions ------------------------------------------------------------
-
     def _worker(self, name: str) -> SessionWorker:
         worker = self.workers.get(name)
-        if worker is not None:
-            return worker
-        if not _SESSION_NAME.match(name):
-            raise BadSessionName(
-                f"bad session name {name!r} (want [A-Za-z0-9._-], "
-                "64 chars max, not starting with . or -)"
-            )
-        if len(self.workers) >= self.max_sessions:
-            raise SessionLimitError(
-                f"session limit reached ({self.max_sessions})"
-            )
-        worker = self.workers[name] = SessionWorker(self, name)
+        if worker is None:
+            self._admit(name, len(self.workers))
+            worker = self.workers[name] = SessionWorker(self, name)
         return worker
 
     # -- the control plane ---------------------------------------------------
 
-    async def _control(self, envelope: wire.RequestEnvelope) -> str | None:
-        request_cls, _ = control.control_types(envelope.method)
-        request = from_jsonable(
-            request_cls, dict(envelope.params), where=envelope.method
+    async def _on_route(self, request) -> control.RouteResult:
+        # No shards to redirect to: the connection is the data path.
+        check_session_name(request.session)
+        return control.RouteResult(session=request.session, direct=False)
+
+    async def _on_ping(self, request) -> control.PingResult | None:
+        if self.chaos is not None and self.chaos.drop_ping():
+            return None  # simulate a wedged worker: no answer at all
+        return control.PingResult(
+            version=PROTOCOL_VERSION,
+            sessions=len(self.workers),
+            metrics=(
+                self.telemetry_snapshot() if request.telemetry else None
+            ),
         )
-        if envelope.method == "service.hello":
-            result = control.HelloResult(
-                version=PROTOCOL_VERSION,
-                server=self.process_label,
-                # No ``direct_routing``: this process has no shards to
-                # redirect to — the connection already is the data path.
-                capabilities=("telemetry",),
-            )
-        elif envelope.method == "service.route":
-            if not _SESSION_NAME.match(request.session):
-                raise BadSessionName(
-                    f"bad session name {request.session!r} (want "
-                    "[A-Za-z0-9._-], 64 chars max, not starting with "
-                    ". or -)"
+
+    async def _on_telemetry(self, request) -> control.TelemetryResult:
+        snapshot = self.telemetry_snapshot()
+        slowest, errored = (
+            self.telemetry.flight() if request.slow else ([], [])
+        )
+        return control.TelemetryResult(
+            process=self.process_label,
+            pid=os.getpid(),
+            metrics=snapshot,
+            merged=snapshot,
+            slowest=tuple(
+                control.FlightRecord(**entry) for entry in slowest
+            ),
+            errored=tuple(
+                control.FlightRecord(**entry) for entry in errored
+            ),
+        )
+
+    async def _on_sessions(self, request) -> control.SessionsResult:
+        return control.SessionsResult(
+            sessions=tuple(
+                control.SessionInfo(
+                    name=w.name,
+                    queued=w.depth,
+                    executed=w.executed,
+                    failed=w.failed,
+                    journal=(
+                        str(w.journal_path)
+                        if w.journal_path is not None
+                        else None
+                    ),
                 )
-            result = control.RouteResult(session=request.session, direct=False)
-        elif envelope.method == "service.describe":
-            result = build_manifest(control.CONTROL)
-        elif envelope.method == "service.ping":
-            if self.chaos is not None and self.chaos.drop_ping():
-                return None  # simulate a wedged worker: no answer at all
-            result = control.PingResult(
-                version=PROTOCOL_VERSION,
-                sessions=len(self.workers),
-                metrics=(
-                    self.telemetry_snapshot() if request.telemetry else None
-                ),
+                for w in self.workers.values()
             )
-        elif envelope.method == "service.telemetry":
-            snapshot = self.telemetry_snapshot()
-            slowest, errored = (
-                self.telemetry.flight() if request.slow else ([], [])
-            )
-            result = control.TelemetryResult(
-                process=self.process_label,
-                pid=os.getpid(),
-                metrics=snapshot,
-                merged=snapshot,
-                slowest=tuple(
-                    control.FlightRecord(**entry) for entry in slowest
-                ),
-                errored=tuple(
-                    control.FlightRecord(**entry) for entry in errored
-                ),
-            )
-        elif envelope.method == "service.sessions":
-            result = control.SessionsResult(
-                sessions=tuple(
-                    control.SessionInfo(
-                        name=w.name,
-                        queued=w.depth,
-                        executed=w.executed,
-                        failed=w.failed,
-                        journal=(
-                            str(w.journal_path)
-                            if w.journal_path is not None
-                            else None
-                        ),
-                    )
-                    for w in self.workers.values()
-                )
-            )
-        elif envelope.method == "service.stats":
-            # Without the process-wide registry: an in-process host
-            # (tests, benchmarks) shares it, and its counts are not
-            # this service's.
-            result = telemetry.stats_result(
-                self._session_metrics(), own="service"
-            )
-        else:  # service.shutdown — ack, then drain in the background.
-            result = control.ShutdownResult(
-                sessions=len(self.workers),
-                journaled=sum(
-                    1
-                    for w in self.workers.values()
-                    if w.journal_path is not None
-                ),
-            )
-            self.request_shutdown()
-        return wire.encode_result(envelope.id, envelope.method, result)
+        )
 
-    # -- shutdown -------------------------------------------------------------
+    async def _on_stats(self, request) -> control.ServiceStatsResult:
+        # Without the process-wide registry: an in-process host
+        # (tests, benchmarks) shares it, and its counts are not this
+        # service's.
+        return telemetry.stats_result(
+            self._session_metrics(), own="service"
+        )
 
-    def request_shutdown(self) -> None:
-        """Begin a graceful drain (idempotent, signal-handler safe):
-        stop accepting, finish queued commands, checkpoint every WAL."""
-        if self._shutdown_task is None:
-            self._shutdown_task = asyncio.ensure_future(self._shutdown())
+    async def _on_shutdown(self, request) -> control.ShutdownResult:
+        return control.ShutdownResult(
+            sessions=len(self.workers),
+            journaled=sum(
+                1
+                for w in self.workers.values()
+                if w.journal_path is not None
+            ),
+        )
 
-    async def _shutdown(self) -> None:
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _drain(self) -> None:
+        """Finish queued commands, checkpoint every WAL."""
         for worker in list(self.workers.values()):
             await worker.stop()
-        # Hang up on open connections so their handler tasks finish
-        # before the loop does (a cancelled readline is noisy).
-        for writer in list(self._conn_writers):
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
         # Leave one final merged snapshot behind for the ``--metrics``
         # export (the scoped session registries die with the workers).
         final = self._session_metrics()
         obs_metrics.unregister_export_provider(self._session_metrics)
         obs_metrics.register_export_provider(lambda: final)
-        await asyncio.sleep(0.01)
-        self._closed.set()
 
 
-def _fish_id(line: bytes):
-    """Best-effort request id recovery from an unparseable envelope."""
-    try:
-        data = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if isinstance(data, dict):
-        id = data.get("id")
-        if isinstance(id, (int, str)):
-            return id
-    return None
+class ServiceThread(ServerThread):
+    """Run a :class:`RiotService` on a background thread's event loop."""
 
-
-# -- in-process harness (tests, benchmarks) ---------------------------------
-
-
-class ServiceThread:
-    """Run a :class:`RiotService` on a background thread's event loop.
-
-    A context manager::
-
-        with ServiceThread(journal_dir=tmp) as srv:
-            client = ServiceClient(*srv.address, session="alice")
-
-    Note the GIL applies: in-process, concurrent sessions overlap their
-    waits but not their compute.  The benchmark drives a subprocess
-    server for honest numbers; this harness is for tests.
-    """
-
-    def __init__(self, **kwargs) -> None:
-        self._kwargs = kwargs
-        self.service: RiotService | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread = None
-        self._ready = None
-
-    def start(self) -> "ServiceThread":
-        import threading
-
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._amain()),
-            name="riot-service",
-            daemon=True,
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise ServiceError("service thread failed to start")
-        return self
-
-    async def _amain(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self.service = await RiotService(**self._kwargs).start()
-        self._ready.set()
-        await self.service.serve_forever()
+    server_class = RiotService
 
     @property
-    def address(self) -> tuple[str, int]:
-        return self.service.host, self.service.port
-
-    def stop(self) -> None:
-        if self._loop is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self.service.request_shutdown)
-        self._thread.join(timeout=30)
-
-    def __enter__(self) -> "ServiceThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    def service(self) -> RiotService | None:
+        return self.server
 
 
 # -- the serve subcommand ----------------------------------------------------
 
 
-async def _amain(args) -> None:
-    if args.shards > 0:
-        from repro.service.supervisor import Supervisor
-
-        trace.set_process_label("supervisor")
-        service = await Supervisor(
-            host=args.host,
-            port=args.port,
-            shards=args.shards,
-            max_sessions=args.max_sessions,
-            queue_limit=args.queue_limit,
-            timeout=args.timeout,
-            shed_at=args.shed_at,
-            heartbeat_timeout=args.heartbeat_timeout,
-            journal_dir=args.journal_dir,
-            library_dir=args.library_dir,
-            trace_path=args.trace,
-        ).start()
-        print(f"listening on {service.host}:{service.port}", flush=True)
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):
-                loop.add_signal_handler(sig, service.request_shutdown)
-        await service.serve_forever()
-        return
-    from repro.service.chaos import ChaosPolicy
-
-    service = await RiotService(
-        host=args.host,
-        port=args.port,
-        max_sessions=args.max_sessions,
-        queue_limit=args.queue_limit,
-        timeout=args.timeout,
-        journal_dir=args.journal_dir,
-        library_dir=args.library_dir,
-        chaos=ChaosPolicy.from_env(),
-    ).start()
-    print(f"listening on {service.host}:{service.port}", flush=True)
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError):
-            loop.add_signal_handler(sig, service.request_shutdown)
-    await service.serve_forever()
-
-
 def main(argv: list[str] | None = None) -> int:
-    from repro.cli import add_obs_flags, obs_from_flags
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description=(
-            "Host many concurrent Riot editor sessions over newline-"
-            "delimited JSON (protocol v1).  Each session gets its own "
-            "editor, stock cell library and, with --journal-dir, its "
-            "own crash-safe write-ahead journal."
-        ),
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port (default 0: pick a free one, printed at startup)",
-    )
-    parser.add_argument(
-        "--max-sessions", type=int, default=32,
-        help="refuse new session names beyond this many (default 32)",
-    )
-    parser.add_argument(
-        "--journal-dir", metavar="DIR", default=None,
-        help="per-session write-ahead journals (NAME.wal) live here; "
-             "an existing journal is recovered when its session opens",
-    )
-    parser.add_argument(
-        "--library-dir", metavar="DIR", default=None,
-        help="shared cell library (repro.cellstore) enabling the "
-             "library.* commands; sessions — across every shard — "
-             "publish and consume versioned cells here",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=30.0,
-        help="per-request deadline in seconds (default 30)",
-    )
-    parser.add_argument(
-        "--queue-limit", type=int, default=16,
-        help="per-session command queue bound; a full queue answers "
-             "service.backpressure (default 16)",
+    parser = server_parser(
+        "python -m repro serve",
+        "Host many concurrent Riot editor sessions over newline-"
+        "delimited JSON (protocol v1).  Each session gets its own "
+        "editor, stock cell library and, with --journal-dir, its "
+        "own crash-safe write-ahead journal.",
+        max_sessions=32,
+        shed_at=256,
     )
     parser.add_argument(
         "--shards", type=int, default=0,
@@ -838,26 +574,33 @@ def main(argv: list[str] | None = None) -> int:
              "from their WALs when a dead shard is restarted",
     )
     parser.add_argument(
-        "--shed-at", type=int, default=256,
-        help="supervisor mode: each shard refuses session commands "
-             "(service.overloaded, with a retry_after_ms hint) once it "
-             "has this many in flight (default 256)",
-    )
-    parser.add_argument(
         "--heartbeat-timeout", type=float, default=2.0,
         help="supervisor mode: SIGKILL a shard whose health ping goes "
              "unanswered this long (default 2.0); raise it for "
              "saturating workloads where a busy-but-healthy shard may "
              "be slow to reach the ping",
     )
-    add_obs_flags(parser)
     args = parser.parse_args(argv)
-    with obs_from_flags(args.trace, args.metrics):
-        try:
-            asyncio.run(_amain(args))
-        except KeyboardInterrupt:
-            pass
-    return 0
+    common = server_kwargs(args)
+    if args.shards > 0:
+        from repro.service.supervisor import Supervisor
+
+        trace.set_process_label("supervisor")
+        return run_cli(
+            args,
+            lambda: Supervisor(
+                shards=args.shards,
+                shed_at=args.shed_at,
+                heartbeat_timeout=args.heartbeat_timeout,
+                trace_path=args.trace,
+                **common,
+            ),
+        )
+    from repro.service.chaos import ChaosPolicy
+
+    return run_cli(
+        args, lambda: RiotService(chaos=ChaosPolicy.from_env(), **common)
+    )
 
 
 if __name__ == "__main__":

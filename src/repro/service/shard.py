@@ -1,26 +1,23 @@
 """One worker process of the sharded service.
 
-A shard is a full :class:`repro.service.server.RiotService` — the same
+A shard is a :class:`repro.service.server.RiotService` — the same
 session workers, queues, deadlines and per-session WALs as the
-single-process server — running in its own interpreter with its own
-WAL directory, listening on a loopback port it prints at startup
-(``listening on HOST:PORT``).  That socket is the shard's **data
-plane**, the only path a session command takes: clients holding a
-``service.route`` lease dial it directly, stamping the lease's
-generation on each request; the shard refuses stale generations and
-wrong-shard sessions with ``service.moved``.  It enforces ``--shed-at``
-itself and records every request it executes in its own telemetry.
-Crash isolation is the point: a shard that segfaults, OOMs, or is
-SIGKILLed takes only its own sessions down, and those resume by WAL
-salvage + replay when the supervisor restarts it.
+single-process server, started by the same command-line path
+(:func:`repro.service.frontend.run_cli`) — in its own interpreter with
+its own WAL directory.  Its socket is the **data plane** (see
+:mod:`repro.service.supervisor`): clients holding a ``service.route``
+lease send session commands there, stamped with the lease's
+generation, and the shard refuses stale generations and wrong-shard
+sessions with ``service.moved``.  It enforces ``--shed-at`` itself and
+records every request it executes in its own telemetry.  A shard that
+segfaults, OOMs or is SIGKILLed takes only its own sessions down; they
+resume by WAL salvage + replay when the supervisor restarts it.
 
-The supervisor holds one connection to the same socket and speaks
-ordinary protocol v1 on it (there is no second wire format to
-version): ``service.ping`` doubles as the heartbeat and carries the
-shard's metrics snapshot back, and a session warm-up after a restart
-is a plain ``cells``.  A shard also watches its stdin — the pipe the
-supervisor holds — and drains gracefully on EOF, so an orphaned shard
-never outlives a dead supervisor.
+The supervisor holds one ordinary protocol-v1 connection to the same
+socket: ``service.ping`` is the heartbeat and carries the shard's
+metrics snapshot back, and a post-restart warm-up is a plain
+``cells``.  The shard also drains when its stdin (the supervisor's
+pipe) closes, so an orphaned shard never outlives its supervisor.
 
 Runnable directly for debugging::
 
@@ -29,68 +26,49 @@ Runnable directly for debugging::
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import os
 import sys
 import threading
 
-from repro.cli import add_obs_flags, obs_from_flags
 from repro.obs import trace
 from repro.service.chaos import ChaosPolicy
+from repro.service.frontend import run_cli, server_kwargs, server_parser
 from repro.service.server import RiotService
 
 
-def _watch_stdin(loop: asyncio.AbstractEventLoop, service: RiotService) -> None:
-    """Block until the supervisor's pipe closes, then drain.
+def _watch_stdin(service: RiotService) -> None:
+    """Drain once the supervisor's pipe closes (a daemon thread blocks
+    on it).
 
-    Reads the raw fd, not ``sys.stdin.buffer``: this daemon thread may
-    still be blocked here when a graceful shutdown finalizes the
-    interpreter, and holding the buffered reader's lock at that point
-    aborts the process (``_enter_buffered_busy``)."""
-    try:
-        fd = sys.stdin.fileno()
-        while os.read(fd, 4096):
+    Reads the raw fd, not ``sys.stdin.buffer``: the thread may still
+    be blocked here when a graceful shutdown finalizes the interpreter,
+    and holding the buffered reader's lock at that point aborts the
+    process (``_enter_buffered_busy``)."""
+    loop = asyncio.get_running_loop()
+
+    def watch() -> None:
+        try:
+            fd = sys.stdin.fileno()
+            while os.read(fd, 4096):
+                pass
+        except (OSError, ValueError):  # pragma: no cover - closed abruptly
             pass
-    except (OSError, ValueError):  # pragma: no cover - closed abruptly
-        pass
-    loop.call_soon_threadsafe(service.request_shutdown)
+        loop.call_soon_threadsafe(service.request_shutdown)
 
-
-async def amain(args) -> None:
-    service = await RiotService(
-        host=args.host,
-        port=args.port,
-        max_sessions=args.max_sessions,
-        queue_limit=args.queue_limit,
-        timeout=args.timeout,
-        journal_dir=args.journal_dir,
-        library_dir=args.library_dir,
-        chaos=ChaosPolicy.from_env(),
-        process_label=f"shard{args.index}",
-        shard_count=args.shards,
-        shard_index=args.index,
-        generation=args.generation,
-        shed_at=args.shed_at,
-    ).start()
-    print(f"listening on {service.host}:{service.port}", flush=True)
     if not sys.stdin.isatty():
         threading.Thread(
-            target=_watch_stdin,
-            args=(asyncio.get_running_loop(), service),
-            name=f"shard-{args.index}-stdin",
-            daemon=True,
+            target=watch, name=f"{service.process_label}-stdin", daemon=True
         ).start()
-    await service.serve_forever()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service.shard",
-        description="One worker process of the sharded Riot service.",
+    parser = server_parser(
+        "python -m repro.service.shard",
+        "One worker process of the sharded Riot service.",
+        max_sessions=1024,
+        shed_at=None,
     )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0)
     parser.add_argument(
         "--index", type=int, default=0,
         help="this shard's index (labels, and ring-ownership checks "
@@ -107,32 +85,21 @@ def main(argv: list[str] | None = None) -> int:
              "with; direct requests carrying a different generation "
              "are refused with service.moved",
     )
-    parser.add_argument(
-        "--shed-at", type=int, default=None,
-        help="refuse session commands (service.overloaded) once this "
-             "many are in flight process-wide (default: no shedding)",
-    )
-    parser.add_argument("--max-sessions", type=int, default=1024)
-    parser.add_argument("--queue-limit", type=int, default=16)
-    parser.add_argument("--timeout", type=float, default=30.0)
-    parser.add_argument(
-        "--journal-dir", metavar="DIR", default=None,
-        help="this shard's own WAL directory (one NAME.wal per session)",
-    )
-    parser.add_argument(
-        "--library-dir", metavar="DIR", default=None,
-        help="the shared cell library directory (same for every shard; "
-             "the store's file lock serializes cross-shard publishes)",
-    )
-    add_obs_flags(parser)
     args = parser.parse_args(argv)
     trace.set_process_label(f"shard{args.index}")
-    with obs_from_flags(args.trace, args.metrics):
-        try:
-            asyncio.run(amain(args))
-        except KeyboardInterrupt:  # pragma: no cover - interactive use only
-            pass
-    return 0
+    return run_cli(
+        args,
+        lambda: RiotService(
+            chaos=ChaosPolicy.from_env(),
+            process_label=f"shard{args.index}",
+            shard_count=args.shards,
+            shard_index=args.index,
+            generation=args.generation,
+            shed_at=args.shed_at,
+            **server_kwargs(args),
+        ),
+        on_listening=_watch_stdin,
+    )
 
 
 if __name__ == "__main__":

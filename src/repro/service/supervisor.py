@@ -1,33 +1,27 @@
 """The supervisor: router + control plane in front of a sharded pool.
 
-``python -m repro serve --shards N`` runs this process in front of N
-:mod:`repro.service.shard` subprocesses.  The supervisor owns the
-routing decision — sessions map to shards by consistent hash
+``python -m repro serve --shards N`` runs this process, on the shared
+socket front end (:mod:`repro.service.frontend`), in front of N
+:mod:`repro.service.shard` subprocesses.  It owns the routing
+decision: sessions map to shards by consistent hash
 (:class:`HashRing`), so a session name lands on the same shard across
-requests, connections *and shard restarts*.
+requests, connections *and shard restarts*.  A session command has
+exactly one path — client → ``service.route`` lease → the shard's own
+socket:
 
-A session command has exactly one path: client → ``service.route``
-lease → the shard's own socket.
-
-* **Control plane** (this socket): ``service.*`` commands, and the
-  ``service.route`` handshake that maps a session to its owning
-  shard's own listening address plus a lease — the shard index, its
-  restart *generation*, and a TTL.
-* **Data plane**: a client holding a route lease dials the shard
-  directly and stamps the generation on every request; the shard
-  refuses stale generations and wrong-shard sessions with
-  ``service.moved`` (carrying its current coordinates), at which point
-  the client refreshes its route.
-* **Redirect**: a session command sent to this socket is admitted
-  like a route request, then answered — never forwarded — with
-  ``service.moved`` carrying the owning shard's coordinates, or with
+* ``service.route`` answers the owning shard's listening address plus
+  a lease: the shard index, its restart *generation*, and a TTL.  The
+  client dials the shard directly and stamps the generation on every
+  request; the shard answers a stale one with ``service.moved``.
+* A session command sent to this socket is admitted like a route
+  request, then answered — never forwarded — with ``service.moved``
+  carrying the owning shard's coordinates, or with
   ``service.shard_failed`` / ``service.overloaded`` while that shard
   is down.
 
 Shard data ports are *pinned* across restarts (the respawn reuses the
-dead shard's port), so the address in a stale client's lease — and in
-the ``service.moved`` detail — usually survives the restart; only the
-generation moves.
+dead shard's port), so a stale lease usually still points at the
+right socket; only the generation moves.
 
 Robustness model, in order of the request path:
 
@@ -37,24 +31,24 @@ Robustness model, in order of the request path:
   ``retry_after_ms`` pacing hint instead of buffering unboundedly.
 * **Crash isolation** — a shard death (exit, SIGKILL, heartbeat
   timeout) drops only that shard's connections; until it is back,
-  routing its sessions answers ``service.shard_failed`` (safe to
-  retry for replayable commands).  Every other shard keeps serving
-  untouched.
+  routing its sessions answers ``service.shard_failed``.  Every other
+  shard keeps serving untouched.
 * **Supervision** — the dead shard is restarted under a
   :class:`~repro.service.health.RestartGovernor`: prompt restart after
-  productive lives, exponential backoff for crash loops, and a circuit
-  breaker that stops restarting a shard that never serves (routing
-  then answers ``service.overloaded`` until the cooldown ends).
+  a life that served session commands, exponential backoff for crash
+  loops, and a circuit breaker that stops restarting a shard that
+  never serves (routing then answers ``service.overloaded`` until the
+  cooldown ends).
 * **Recovery** — each shard owns a WAL directory
-  (``journal_dir/shard-K``), so its sessions' journals survive it; on
-  restart the supervisor warms every affected session back up, which
-  salvages + replays its WAL through the registry — the paper's REPLAY
-  recovery, per seat, automated.
+  (``journal_dir/shard-K``); on restart the supervisor warms every
+  affected session back up, which salvages + replays its WAL — the
+  paper's REPLAY recovery, per seat, automated.
 
-Heartbeats ride the ordinary wire: the supervisor periodically sends
-``service.ping`` down each shard connection and SIGKILLs a shard that
-stays silent past the timeout (a wedged process is as dead as an
-exited one).
+Heartbeats ride the ordinary wire: a telemetry ``service.ping`` down
+each shard connection brings back the shard's metrics snapshot (which
+is also how the breaker sees a life's progress), and a shard silent
+past the timeout is SIGKILLed — a wedged process is as dead as an
+exited one.
 """
 
 from __future__ import annotations
@@ -63,30 +57,27 @@ import asyncio
 import bisect
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.api import wire
 from repro.api.codec import from_jsonable
-from repro.api.errors import BadRequest
-from repro.api.manifest import build_manifest
 from repro.api.types import PROTOCOL_VERSION
 from repro.errors import ReproError
 from repro.obs import metrics
 from repro.service import control, telemetry
 from repro.service.errors import (
-    BadSessionName,
     OverloadedError,
     ServiceError,
-    SessionLimitError,
     SessionMovedError,
     ShardFailedError,
-    ShutdownError,
 )
+from repro.service.frontend import LineServer, ServerThread
 from repro.service.health import RestartGovernor
-from repro.service.server import _SESSION_NAME, _fish_id
 
 #: Extra margin on the first restart's ``retry_after_ms`` hint: rough
 #: worst-case interpreter start + listen time for a shard subprocess.
@@ -154,13 +145,14 @@ class ShardHandle:
         #: Supervisor-assigned uid -> response future, for the
         #: supervisor's own calls (heartbeats, warm-ups, fan-out).
         self.pending: dict[int, asyncio.Future] = {}
-        self._next_uid = 0
+        self.uids = itertools.count(1)
         self.restarts = 0
         #: The latest metrics snapshot this shard piggybacked on a
         #: heartbeat pong (``None`` until the first one answers, and
         #: while the shard is down).
         self.last_metrics: dict | None = None
-        #: ok responses to session commands in the current life.
+        #: ok responses to the supervisor's own session commands (the
+        #: warm-ups) in the current life.
         self.acked = 0
         self.governor = RestartGovernor(**supervisor.governor_kwargs)
         #: ms estimate handed out in shard_failed errors while down.
@@ -171,9 +163,13 @@ class ShardHandle:
     def pid(self) -> int | None:
         return self.proc.pid if (self.proc and self.alive) else None
 
-    def next_uid(self) -> int:
-        self._next_uid += 1
-        return self._next_uid
+    def made_progress(self) -> bool:
+        """Did this life serve a session command?  Direct traffic shows
+        only in the shard's pong snapshot; warm-ups are acknowledged on
+        the supervisor's own connection, pong or not."""
+        served = self.last_metrics or {}
+        ok = served.get("rpc.requests", 0) - served.get("rpc.errors", 0)
+        return self.acked > 0 or ok > 0
 
     def failure(self, why: str) -> ShardFailedError:
         """``service.shard_failed`` for this shard, with the restart
@@ -196,8 +192,14 @@ class ShardHandle:
         return self.failure("is restarting")
 
 
-class Supervisor:
+class Supervisor(LineServer):
     """Accept/route server over a pool of shard subprocesses."""
+
+    #: Its own counters are ``supervisor.*``, so they never sum with
+    #: the shards' ``service.*`` counters in a merge.
+    counter_prefix = "supervisor"
+    capabilities = ("direct_routing", "telemetry")
+    process_label = "supervisor"
 
     def __init__(
         self,
@@ -218,12 +220,9 @@ class Supervisor:
         trace_path: str | None = None,
         route_lease: float = 5.0,
     ) -> None:
-        if shards < 1:
-            raise ValueError("need at least one shard")
         if shed_at < 1:
             raise ValueError("shed_at must be >= 1")
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.shard_count = shards
         self.max_sessions = max_sessions
         self.queue_limit = queue_limit
@@ -245,19 +244,11 @@ class Supervisor:
         #: ``--trace <trace_path>.shard<i>`` so a run leaves one trace
         #: file per process — the set ``tools/check_trace.py`` stitches.
         self.trace_path = trace_path
-        self.process_label = "supervisor"
-        #: This process's own counters, prefixed ``supervisor.`` so they
-        #: never sum with the shards' ``service.*`` counters in a merge.
         self.registry = metrics.MetricsRegistry()
         self.ring = HashRing(shards)
         self.shards = [ShardHandle(self, i) for i in range(shards)]
         #: session name -> shard index (the admission-control census).
         self.session_shard: dict[str, int] = {}
-        self._server: asyncio.AbstractServer | None = None
-        self._conn_writers: set = set()
-        self._closing = False
-        self._closed: asyncio.Event | None = None
-        self._shutdown_task: asyncio.Task | None = None
         self._heartbeat_tasks: list[asyncio.Task] = []
         self._background: set[asyncio.Task] = set()
 
@@ -266,21 +257,14 @@ class Supervisor:
     async def start(self) -> "Supervisor":
         if self.journal_dir is not None:
             self.journal_dir.mkdir(parents=True, exist_ok=True)
-        self._closed = asyncio.Event()
         await asyncio.gather(*(self._spawn(h) for h in self.shards))
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen()
         for handle in self.shards:
             self._heartbeat_tasks.append(
                 asyncio.ensure_future(self._heartbeat(handle))
             )
         metrics.register_export_provider(self._telemetry_export)
         return self
-
-    def _count(self, name: str, n: int = 1) -> None:
-        self.registry.counter(f"supervisor.{name}").inc(n)
 
     def _telemetry_export(self) -> dict:
         """The ``--metrics`` contribution beyond the process registry:
@@ -292,9 +276,6 @@ class Supervisor:
                 out[f"shard{handle.index}.{name}"] = value
         return out
 
-    async def serve_forever(self) -> None:
-        await self._closed.wait()
-
     def _spawn_background(self, coro) -> None:
         task = asyncio.ensure_future(coro)
         self._background.add(task)
@@ -303,41 +284,32 @@ class Supervisor:
     # -- shard processes -----------------------------------------------------
 
     def _shard_command(self, handle: ShardHandle) -> list[str]:
-        cmd = [
-            sys.executable,
-            "-m",
-            "repro.service.shard",
-            "--host",
-            "127.0.0.1",
+        journal_dir = trace_path = None
+        if self.journal_dir is not None:
+            journal_dir = self.journal_dir / f"shard-{handle.index}"
+        if self.trace_path is not None:
+            trace_path = f"{self.trace_path}.shard{handle.index}"
+        flags = {
+            "--host": "127.0.0.1",
             # Pin the data port across restarts (0 only the first
             # life): stale route leases keep pointing at a socket
             # that answers, so redirected clients recover in place.
-            "--port",
-            str(handle.data_port or 0),
-            "--index",
-            str(handle.index),
-            "--shards",
-            str(self.shard_count),
-            "--generation",
-            str(handle.generation),
-            "--shed-at",
-            str(self.shed_at),
-            "--max-sessions",
-            str(self.max_sessions),
-            "--queue-limit",
-            str(self.queue_limit),
-            "--timeout",
-            str(self.timeout),
-        ]
-        if self.journal_dir is not None:
-            cmd += [
-                "--journal-dir",
-                str(self.journal_dir / f"shard-{handle.index}"),
-            ]
-        if self.library_dir is not None:
-            cmd += ["--library-dir", str(self.library_dir)]
-        if self.trace_path is not None:
-            cmd += ["--trace", f"{self.trace_path}.shard{handle.index}"]
+            "--port": handle.data_port or 0,
+            "--index": handle.index,
+            "--shards": self.shard_count,
+            "--generation": handle.generation,
+            "--shed-at": self.shed_at,
+            "--max-sessions": self.max_sessions,
+            "--queue-limit": self.queue_limit,
+            "--timeout": self.timeout,
+            "--journal-dir": journal_dir,
+            "--library-dir": self.library_dir,
+            "--trace": trace_path,
+        }
+        cmd = [sys.executable, "-m", "repro.service.shard"]
+        for flag, value in flags.items():
+            if value is not None:  # unset: the shard's default
+                cmd += [flag, str(value)]
         return cmd
 
     @staticmethod
@@ -415,7 +387,7 @@ class Supervisor:
                 if data.get("ok") and not str(
                     data.get("method") or ""
                 ).startswith("service."):
-                    # Productive work: the crash-loop breaker resets.
+                    # A warm-up served: the crash-loop breaker resets.
                     handle.acked += 1
                     handle.governor.record_progress()
                 if not future.done():
@@ -436,14 +408,14 @@ class Supervisor:
             # During graceful shutdown the EOF on the shard connection
             # is the shard *draining*, not dying: it still has WALs to
             # checkpoint and its trace/metrics files to write, and
-            # ``_shutdown`` already waits on (and, past the deadline,
+            # ``_drain`` already waits on (and, past the deadline,
             # kills) the process.
             with contextlib.suppress(ProcessLookupError):
                 handle.proc.kill()
         if handle.writer is not None:
             handle.writer.close()
         pending, handle.pending = handle.pending, {}
-        self._count("shard_failures", len(pending))
+        self.count("shard_failures", len(pending))
         failure = handle.failure(
             f"died ({reason}) with this request in flight; its sessions "
             "resume from their WALs after restart"
@@ -453,9 +425,13 @@ class Supervisor:
                 future.set_exception(failure)
         if self._closing:
             return
-        handle.last_metrics = None
         self.registry.counter("service.shard_restarts").inc()
-        decision = handle.governor.record_death(progress=handle.acked > 0)
+        self._schedule_restart(handle, progress=handle.made_progress())
+        handle.last_metrics = None
+
+    def _schedule_restart(self, handle: ShardHandle, *, progress: bool):
+        """Book one failed life with the governor; restart when it says."""
+        decision = handle.governor.record_death(progress=progress)
         handle.restarts += 1
         handle.retry_hint_ms = int(decision.delay * 1000) + _SPAWN_ESTIMATE_MS
         handle.restart_task = asyncio.ensure_future(
@@ -478,15 +454,8 @@ class Supervisor:
             # another process while the shard was down); give the next
             # attempt a fresh one.
             handle.data_port = None
-            decision = handle.governor.record_death(progress=False)
             handle.generation = generation + 1
-            handle.restarts += 1
-            handle.retry_hint_ms = (
-                int(decision.delay * 1000) + _SPAWN_ESTIMATE_MS
-            )
-            handle.restart_task = asyncio.ensure_future(
-                self._restart_later(handle, decision.delay)
-            )
+            self._schedule_restart(handle, progress=False)
 
     async def _heartbeat(self, handle: ShardHandle) -> None:
         """Ping the shard on the wire; silence past the timeout kills."""
@@ -508,13 +477,15 @@ class Supervisor:
 
     async def _ping(self, handle: ShardHandle) -> None:
         """A telemetry ping: keep the metrics snapshot the pong
-        piggybacks."""
+        piggybacks, unless the shard died meanwhile."""
+        generation = handle.generation
         data = await self._shard_call(
             handle, "service.ping", params={"telemetry": True}
         )
         snapshot = (data.get("result") or {}).get("metrics")
         if data.get("ok") and isinstance(snapshot, dict):
-            handle.last_metrics = snapshot
+            if handle.generation == generation:  # not a dead life's
+                handle.last_metrics = snapshot
 
     async def _refresh(self, handle: ShardHandle) -> None:
         """Refresh one live shard's snapshot on demand; a shard that
@@ -540,7 +511,7 @@ class Supervisor:
         (heartbeats, warm-ups, fan-out, shutdown); the parsed response."""
         if not handle.alive:
             raise handle.unavailable()
-        uid = handle.next_uid()
+        uid = next(handle.uids)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         handle.pending[uid] = future
         line = wire.canonical_json(
@@ -576,84 +547,28 @@ class Supervisor:
             with contextlib.suppress(ServiceError, ReproError):
                 await self._shard_call(handle, "cells", session=name)
 
-    # -- the client-facing server --------------------------------------------
+    # -- session commands: redirected to their shard -------------------------
 
-    async def _serve_connection(self, reader, writer) -> None:
-        self._count("connections")
-        self._conn_writers.add(writer)
-        write_lock = asyncio.Lock()
-        pending: set[asyncio.Task] = set()
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.create_task(
-                    self._serve_line(line, writer, write_lock)
-                )
-                pending.add(task)
-                task.add_done_callback(pending.discard)
-        except (ConnectionResetError, OSError):
-            pass
-        finally:
-            self._conn_writers.discard(writer)
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _serve_line(self, line: bytes, writer, write_lock) -> None:
-        self._count("requests")
-        response = await self._respond(line)
-        async with write_lock:
-            with contextlib.suppress(ConnectionResetError, OSError):
-                writer.write(response.encode("utf-8") + b"\n")
-                await writer.drain()
-
-    async def _respond(self, line: bytes) -> str:
-        try:
-            envelope = wire.parse_request(line)
-        except ReproError as exc:
-            self._count("errors")
-            return wire.encode_error(_fish_id(line), exc)
-        if envelope.method.startswith("service."):
-            try:
-                return await self._control(envelope)
-            except ReproError as exc:
-                self._count("errors")
-                return wire.encode_error(envelope.id, exc)
-        if self._closing:
-            return wire.encode_error(
-                envelope.id, ShutdownError("service is shutting down")
-            )
-        # A session command is never forwarded: every answer here is an
-        # error, and a good one points at the one path, the shard.
-        self._count("errors")
-        return wire.encode_error(envelope.id, self._redirect(envelope))
-
-    def _redirect(self, envelope: wire.RequestEnvelope) -> ReproError:
-        """Admit a session command's session, then name its shard's
-        own socket (or say why that shard cannot take it now)."""
-        if not envelope.session:
-            return BadRequest(
-                f"method {envelope.method!r} needs a 'session' field"
-            )
+    async def _session_command(self, envelope: wire.RequestEnvelope) -> str:
+        """Never forwarded: the answer names the session's shard (or
+        says why it cannot take the session now)."""
+        self.count("errors")
         try:
             handle = self._live_shard(envelope.session)
         except ServiceError as exc:
-            return exc
-        return SessionMovedError(
-            f"session {envelope.session!r} lives on shard {handle.index} "
-            f"at {handle.data_host}:{handle.data_port}; send session "
-            "commands there (see service.route)",
-            detail=wire.ErrorDetail(
-                shard=handle.index,
-                generation=handle.generation,
-                host=handle.data_host,
-                port=handle.data_port,
+            return wire.encode_error(envelope.id, exc)
+        return wire.encode_error(
+            envelope.id,
+            SessionMovedError(
+                f"session {envelope.session!r} lives on shard "
+                f"{handle.index} at {handle.data_host}:{handle.data_port}; "
+                "send session commands there (see service.route)",
+                detail=wire.ErrorDetail(
+                    shard=handle.index,
+                    generation=handle.generation,
+                    host=handle.data_host,
+                    port=handle.data_port,
+                ),
             ),
         )
 
@@ -662,15 +577,7 @@ class Supervisor:
         that shard is up."""
         index = self.session_shard.get(name)
         if index is None:
-            if not _SESSION_NAME.match(name):
-                raise BadSessionName(
-                    f"bad session name {name!r} (want [A-Za-z0-9._-], "
-                    "64 chars max, not starting with . or -)"
-                )
-            if len(self.session_shard) >= self.max_sessions:
-                raise SessionLimitError(
-                    f"session limit reached ({self.max_sessions})"
-                )
+            self._admit(name, len(self.session_shard))
             index = self.ring.shard_for(name)
             self.session_shard[name] = index
             self.registry.gauge("supervisor.sessions").set(
@@ -683,56 +590,23 @@ class Supervisor:
 
     # -- the control plane ---------------------------------------------------
 
-    async def _control(self, envelope: wire.RequestEnvelope) -> str:
-        request_cls, _ = control.control_types(envelope.method)
-        request = from_jsonable(
-            request_cls, dict(envelope.params), where=envelope.method
+    async def _on_ping(self, request) -> control.PingResult:
+        return control.PingResult(
+            version=PROTOCOL_VERSION,
+            sessions=len(self.session_shard),
+            metrics=(
+                self.registry.snapshot() if request.telemetry else None
+            ),
         )
-        if envelope.method == "service.ping":
-            result = control.PingResult(
-                version=PROTOCOL_VERSION,
-                sessions=len(self.session_shard),
-                metrics=(
-                    self.registry.snapshot() if request.telemetry else None
-                ),
-            )
-        elif envelope.method == "service.hello":
-            result = control.HelloResult(
-                version=PROTOCOL_VERSION,
-                server=self.process_label,
-                capabilities=("direct_routing", "telemetry"),
-            )
-        elif envelope.method == "service.route":
-            result = self._route_result(request.session)
-        elif envelope.method == "service.describe":
-            result = build_manifest(control.CONTROL)
-        elif envelope.method == "service.sessions":
-            result = await self._collect_sessions()
-        elif envelope.method == "service.stats":
-            result = await self._collect_stats()
-        elif envelope.method == "service.telemetry":
-            result = await self._collect_telemetry(request)
-        else:  # service.shutdown — ack, then drain in the background.
-            result = control.ShutdownResult(
-                sessions=len(self.session_shard),
-                journaled=(
-                    len(self.session_shard)
-                    if self.journal_dir is not None
-                    else 0
-                ),
-            )
-            self.request_shutdown()
-        return wire.encode_result(envelope.id, envelope.method, result)
 
-    def _route_result(self, session: str) -> "control.RouteResult":
-        """Answer ``service.route``: a direct lease on the session's
-        shard.  Routing *admits* the session, and a down shard answers
-        ``service.shard_failed`` (or ``service.overloaded`` with its
-        circuit open) — the same codes a session command sent to this
-        socket gets."""
-        handle = self._live_shard(session)
+    async def _on_route(self, request) -> control.RouteResult:
+        """A direct lease on the session's shard.  Routing *admits* the
+        session, and a down shard answers ``service.shard_failed`` (or
+        ``service.overloaded`` with its circuit open) — the same codes a
+        session command sent to this socket gets."""
+        handle = self._live_shard(request.session)
         return control.RouteResult(
-            session=session,
+            session=request.session,
             direct=True,
             shard=handle.index,
             host=handle.data_host,
@@ -750,9 +624,7 @@ class Supervisor:
             *((h.last_metrics or {}) for h in self.shards),
         )
 
-    async def _collect_telemetry(
-        self, request: control.TelemetryRequest
-    ) -> control.TelemetryResult:
+    async def _on_telemetry(self, request) -> control.TelemetryResult:
         merged = await self._merged()
         slowest: list = []
         errored: list = []
@@ -808,7 +680,7 @@ class Supervisor:
 
         return await asyncio.gather(*(one(h) for h in self.shards))
 
-    async def _collect_sessions(self) -> control.SessionsResult:
+    async def _on_sessions(self, request) -> control.SessionsResult:
         collected = await self._control_fanout(
             "service.sessions", control.SessionsResult
         )
@@ -816,21 +688,13 @@ class Supervisor:
         for handle, result in collected:
             if result is None:
                 continue
-            for info in result.sessions:
-                merged.append(
-                    control.SessionInfo(
-                        name=info.name,
-                        queued=info.queued,
-                        executed=info.executed,
-                        failed=info.failed,
-                        journal=info.journal,
-                        shard=handle.index,
-                    )
-                )
+            merged.extend(
+                replace(info, shard=handle.index) for info in result.sessions
+            )
         merged.sort(key=lambda info: info.name)
         return control.SessionsResult(sessions=tuple(merged))
 
-    async def _collect_stats(self) -> control.ServiceStatsResult:
+    async def _on_stats(self, request) -> control.ServiceStatsResult:
         merged = await self._merged()
         shards = []
         for h in self.shards:
@@ -850,18 +714,18 @@ class Supervisor:
             merged, own="supervisor", shards=tuple(shards)
         )
 
-    # -- shutdown ------------------------------------------------------------
+    async def _on_shutdown(self, request) -> control.ShutdownResult:
+        return control.ShutdownResult(
+            sessions=len(self.session_shard),
+            journaled=(
+                len(self.session_shard)
+                if self.journal_dir is not None
+                else 0
+            ),
+        )
 
-    def request_shutdown(self) -> None:
-        """Begin a graceful drain (idempotent, signal-handler safe)."""
-        if self._shutdown_task is None:
-            self._shutdown_task = asyncio.ensure_future(self._shutdown())
-
-    async def _shutdown(self) -> None:
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _drain(self) -> None:
+        """Shut every shard down gracefully."""
         for handle in self.shards:
             if handle.restart_task is not None:
                 handle.restart_task.cancel()
@@ -889,78 +753,18 @@ class Supervisor:
             handle.alive = False
         for task in self._heartbeat_tasks:
             task.cancel()
-        # Hang up on open client connections so their handler tasks
-        # finish before the loop does (a cancelled readline is noisy).
-        for writer in list(self._conn_writers):
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-        await asyncio.sleep(0.01)
-        self._closed.set()
 
 
 # -- in-process harness (tests, benchmarks) ---------------------------------
 
 
-class SupervisorThread:
-    """Run a :class:`Supervisor` on a background thread's event loop.
+class SupervisorThread(ServerThread):
+    """Run a :class:`Supervisor` — over real shard subprocesses — on
+    a background thread's event loop."""
 
-    Mirrors :class:`repro.service.server.ServiceThread`; the shards are
-    real subprocesses either way, so this harness exercises the full
-    crash-isolation story from a test.
-    """
-
-    def __init__(self, **kwargs) -> None:
-        self._kwargs = kwargs
-        self.supervisor: Supervisor | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread = None
-        self._ready = None
-        self._startup_error: BaseException | None = None
-
-    def start(self) -> "SupervisorThread":
-        import threading
-
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="riot-supervisor", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=120):
-            raise ServiceError("supervisor thread failed to start")
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:  # pragma: no cover - startup failures
-            self._startup_error = exc
-            self._ready.set()
-
-    async def _amain(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        try:
-            self.supervisor = await Supervisor(**self._kwargs).start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        await self.supervisor.serve_forever()
+    server_class = Supervisor
+    timeout = 120.0
 
     @property
-    def address(self) -> tuple[str, int]:
-        return self.supervisor.host, self.supervisor.port
-
-    def stop(self) -> None:
-        if self._loop is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self.supervisor.request_shutdown)
-        self._thread.join(timeout=120)
-
-    def __enter__(self) -> "SupervisorThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    def supervisor(self) -> Supervisor | None:
+        return self.server

@@ -14,6 +14,7 @@ from repro.cellstore import (
     NotFound,
 )
 from repro.cellstore.store import text_digest
+from repro.obs import metrics
 
 
 def publish(store, name, payload, **kwargs):
@@ -175,10 +176,16 @@ class TestDurability:
 
 class TestCounters:
     def test_publish_conflict_and_resolve_counters(self, store):
+        before = metrics.registry().snapshot()
         publish(store, "nand", "v1")
         with pytest.raises(Conflict):
             publish(store, "nand", "v2", expected_version=0)
         store.resolve("nand")
-        assert store.counters["publishes"] == 1
-        assert store.counters["conflicts"] == 1
-        assert store.counters["resolves"] == 1
+        after = metrics.registry().snapshot()
+
+        def delta(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        assert delta("library.publishes") == 1
+        assert delta("library.conflicts") == 1
+        assert delta("library.resolves") == 1

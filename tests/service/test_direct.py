@@ -298,6 +298,32 @@ class TestRedirect:
             assert error.retry_after_ms > 0
 
 
+class TestBreakerProgress:
+    def test_direct_traffic_counts_as_progress(self):
+        """A shard that served only direct traffic and is then killed
+        made progress: even a one-strike breaker restarts it, and the
+        session's next command succeeds."""
+        with SupervisorThread(
+            shards=1, governor_kwargs={"max_failures": 1, "cooldown": 30.0}
+        ) as srv:
+            with client_for(srv, session="bp-busy") as client:
+                for _ in range(3):
+                    client.call("cells")
+                assert client.direct_calls == 3
+                with client_for(srv) as control:
+                    # service.stats pings the shard, so the supervisor's
+                    # snapshot now counts the direct commands.
+                    os.kill(shard_pid_for(control, 0), signal.SIGKILL)
+                    wait_for_death(control, 0)
+                    governor = srv.supervisor.shards[0].governor
+                    assert governor.failures == 0
+                    assert not governor.circuit_open
+                    client.call("cells")
+                    stats = control.call("service.stats")
+        assert stats.shards[0].restarts == 1
+        assert not stats.shards[0].circuit_open
+
+
 class TestFailover:
     def test_kill_mid_burst_rides_out_the_restart_direct(self, tmp_path):
         name = "dr-failover"

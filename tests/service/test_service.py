@@ -204,6 +204,18 @@ class TestLimits:
             assert worker.executed == 1
 
 
+class TestStartup:
+    def test_bind_failure_raises_the_real_error(self):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            started = time.monotonic()
+            with pytest.raises(OSError):
+                ServiceThread(port=port).start()
+        assert time.monotonic() - started < 5.0
+
+
 class TestShutdownAndResume:
     def test_shutdown_checkpoints_and_wal_resumes(self, tmp_path):
         journal_dir = tmp_path / "wals"
